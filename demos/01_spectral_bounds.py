@@ -16,7 +16,7 @@ from spectree import (
 )
 
 print("Closed form vs eigensolver for the complete-split graph S_{n,k}")
-print(f"{'n':>4} {'k':>3} {'closed form':>14} {'power iteration':>16} {'diff':>10}")
+print(f"{'n':>4} {'k':>3} {'closed form':>14} {'eigh':>16} {'diff':>10}")
 for n, k in [(5, 2), (8, 2), (20, 2), (30, 3), (60, 5)]:
     closed = mu_S_closed(n, k)
     numeric = spectral_radius(build_family(CompleteSplit(n, k))).mu

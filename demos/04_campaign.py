@@ -2,7 +2,7 @@
 
 Scans every isomorphism class on n vertices, classifies each graph against
 the spectral threshold mu(S_{n,k}) with a boundary policy (exceptional-graph
-check, high-precision re-solve, boundary bucket), and checks qualifying
+check, boundary bucket), and checks qualifying
 graphs for all trees of order 2k+2.  The report is deterministic and
 invariant under sharding.
 

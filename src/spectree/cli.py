@@ -38,6 +38,7 @@ from .enumeration import all_graphs
 from .harness import (
     CampaignSpec,
     Source,
+    SCHEMA_VERSION,
     VerificationReport,
     report_to_csv,
     report_to_json,
@@ -223,6 +224,11 @@ def _dispatch(args):
     if args.command == "report":
         with open(args.path) as fh:
             data = json.load(fh)
+        version = data.get("schema_version") if isinstance(data, dict) else None
+        if version != SCHEMA_VERSION:
+            raise ParameterError(
+                f"{args.path}: schema_version {version!r} is not {SCHEMA_VERSION}"
+            )
         report = VerificationReport(**data)
         payload = report_to_json(report) if args.format == "json" else report_to_csv(report)
         _emit(payload, args.out)

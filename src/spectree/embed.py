@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import (
@@ -77,17 +78,20 @@ def contains_tree(host, pattern, budget=DEFAULT_BUDGET):
     distinct outcome from "not contained".
     """
     pat = as_graph(pattern)
-    if not is_tree(pat):
-        raise ParameterError("pattern is not a tree")
+    order, parents, pat_deg = _pattern_order(pat)
     if pat.n > host.n:
         return None
-    order, parents = _pattern_order(pat)
-    return _embed_tree(host, pat, order, parents, _Budget(budget))
+    return _embed_tree(host, order, parents, pat_deg, _Budget(budget))
 
 
+@lru_cache(maxsize=1024)
 def _pattern_order(pat):
     """BFS order from the highest-degree vertex, children by decreasing
-    degree; parents[i] is the index (in the order) of the parent."""
+    degree; parents[i] is the index (in the order) of the parent and
+    pat_deg[i] the degree of order[i].  Cached per pattern graph, which is
+    immutable and hashable; raises ParameterError for a non-tree."""
+    if not is_tree(pat):
+        raise ParameterError("pattern is not a tree")
     root = max(range(pat.n), key=pat.degree)
     order = [root]
     parents = [None]
@@ -101,33 +105,40 @@ def _pattern_order(pat):
                 parents.append(head)
                 order.append(w)
         head += 1
-    return order, parents
+    return tuple(order), tuple(parents), tuple(pat.degree(v) for v in order)
 
 
-def _embed_tree(host, pat, order, parents, budget):
+def _embed_tree(host, order, parents, pat_deg, budget):
     n = len(order)
     image = [0] * n
-    pat_deg = [pat.degree(v) for v in order]
-    host_by_deg = sorted(range(host.n), key=host.degree, reverse=True)
+    rows = host.rows
+    deg = host.degrees()
+    by_deg = deg.__getitem__
+    # candidates in decreasing host degree, ties by vertex id (stable
+    # sort); neighbour lists are sorted once per host vertex, on first use
+    host_by_deg = sorted(range(host.n), key=by_deg, reverse=True)
+    nbrs_by_deg = {}
 
     def rec(i, used):
         budget.spend()
         if i == n:
             return True
+        need = pat_deg[i]
         if parents[i] is None:
-            cands = (h for h in host_by_deg if host.degree(h) >= pat_deg[i])
+            cands = host_by_deg
         else:
-            pmask = host.rows[image[parents[i]]] & ~used
-            cands = sorted(bits(pmask), key=host.degree, reverse=True)
-            cands = (h for h in cands if host.degree(h) >= pat_deg[i])
+            p = image[parents[i]]
+            cands = nbrs_by_deg.get(p)
+            if cands is None:
+                cands = nbrs_by_deg[p] = sorted(bits(rows[p]), key=by_deg, reverse=True)
         # twin pruning: vertices with identical neighborhoods (open or
         # closed) are interchangeable, so try only one per twin class
         open_sigs = set()
         closed_sigs = set()
         for h in cands:
-            if used >> h & 1:
+            if used >> h & 1 or deg[h] < need:
                 continue
-            row = host.rows[h]
+            row = rows[h]
             if row in open_sigs or row | 1 << h in closed_sigs:
                 continue
             open_sigs.add(row)
@@ -139,7 +150,7 @@ def _embed_tree(host, pat, order, parents, budget):
 
     if not rec(0, 0):
         return None
-    assignment = [0] * pat.n
+    assignment = [0] * n
     for i, v in enumerate(order):
         assignment[v] = image[i]
     return Embedding(tuple(assignment))

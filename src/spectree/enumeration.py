@@ -20,6 +20,7 @@ EXHAUSTIVE_CAP = 8
 OPT_IN_CAP = 9
 
 _cache = {}
+_connected_cache = {}
 
 
 def _representatives(n):
@@ -46,19 +47,34 @@ def _representatives(n):
     return reps
 
 
-def all_graphs(n, connected_only=False, cap=EXHAUSTIVE_CAP):
-    """One representative per isomorphism class on n vertices, as a list in
-    deterministic (canonical graph6) order."""
+def _ordered_keys(n, connected_only=False, cap=EXHAUSTIVE_CAP):
+    """Canonical graph6 keys of the classes on n vertices, in stream order;
+    the connected subsequence is cached once per n."""
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     if cap > OPT_IN_CAP:
         raise ParameterError(f"cap beyond n={OPT_IN_CAP} is out of scope")
     if n > cap:
         raise CapExceededError(f"exhaustive enumeration capped at n={cap}, got {n}")
-    graphs = [decode_graph6(k) for k in _representatives(n)]
-    if connected_only:
-        graphs = [g for g in graphs if g.is_connected()]
-    return graphs
+    keys = _representatives(n)
+    if not connected_only:
+        return keys
+    if n not in _connected_cache:
+        _connected_cache[n] = [k for k in keys if decode_graph6(k).is_connected()]
+    return _connected_cache[n]
+
+
+def all_graphs(n, connected_only=False, cap=EXHAUSTIVE_CAP):
+    """One representative per isomorphism class on n vertices, as a list in
+    deterministic (canonical graph6) order."""
+    return [decode_graph6(k) for k in _ordered_keys(n, connected_only, cap)]
+
+
+def keyed_graphs(n):
+    """(key, graph) pairs in `all_graphs(n)` order, decoded one at a time.
+    Each key is the canonical graph6 string the graph was decoded from, so
+    it equals `canonical_key(graph)`."""
+    return ((k, decode_graph6(k)) for k in _ordered_keys(n))
 
 
 @dataclass
@@ -74,10 +90,10 @@ class EnumerationCursor:
         return self
 
     def __next__(self):
-        graphs = all_graphs(self.n, self.connected_only)
-        if self.token >= len(graphs):
+        keys = _ordered_keys(self.n, self.connected_only)
+        if self.token >= len(keys):
             raise StopIteration
-        g = graphs[self.token]
+        g = decode_graph6(keys[self.token])
         self.token += 1
         self.emitted += 1
         return g

@@ -26,7 +26,7 @@ from .graphs import (
 )
 from .spectral import mu_S_closed, spectral_radius, bound_min_degree, bound_edges
 from .embed import all_trees_of_order, contains_tree
-from .enumeration import all_graphs, perturb_extremal, random_graph
+from .enumeration import keyed_graphs, perturb_extremal, random_graph
 from .turan import check_lemma, edge_threshold_S_plus
 
 SCHEMA_VERSION = 1
@@ -87,13 +87,22 @@ class VerificationReport:
 
 
 def _graph_stream(spec, n):
-    """Deterministic (index, graph) stream for one order.  Indices are
-    stable regardless of sharding."""
+    """Deterministic (index, key, graph) stream for one order.  Indices are
+    stable regardless of sharding.  Exhaustive graphs are decoded from
+    their canonical graph6 keys, so the key comes with the graph; sampled
+    graphs get theirs from `_stable_key`."""
     src = spec.source
     if src.kind == "exhaustive":
-        for i, g in enumerate(all_graphs(n)):
-            yield i, g
-    elif src.kind == "random":
+        for i, (key, g) in enumerate(keyed_graphs(n)):
+            yield i, key, g
+        return
+    for i, g in _sampled_graphs(spec, n):
+        yield i, _stable_key(g), g
+
+
+def _sampled_graphs(spec, n):
+    src = spec.source
+    if src.kind == "random":
         for i in range(src.count):
             yield i, random_graph(n, p=0.5, seed=src.seed * 1_000_003 + n * 101 + i)
     elif src.kind == "perturbation":
@@ -120,8 +129,10 @@ def _graph_stream(spec, n):
         raise ParameterError(f"unknown source kind {src.kind!r}")
 
 
-def _patterns(spec, n):
-    """The containment conclusion patterns for mu-threshold campaigns."""
+def _patterns(spec):
+    """The containment conclusion patterns for mu-threshold campaigns.
+    They depend on the campaign and k only, so run_campaign builds them
+    once."""
     k = spec.k
     c = spec.campaign
     if c in ("conjecture_a", "conjecture_b"):
@@ -181,6 +192,7 @@ def run_campaign(spec, shards=1):
     invariant under the partitioning."""
     spec.validate()
     t_start = time.perf_counter()
+    patterns = _patterns(spec)
     verdicts = []
     violations = []
     boundary = []
@@ -190,7 +202,7 @@ def run_campaign(spec, shards=1):
     for n in range(spec.n_min, spec.n_max + 1):
         items = list(_graph_stream(spec, n))
         shard_lists = [items[s::shards] for s in range(shards)]
-        shard_results = [_run_shard(spec, n, chunk) for chunk in shard_lists]
+        shard_results = [_run_shard(spec, n, chunk, patterns) for chunk in shard_lists]
         merged = [v for res in shard_results for v in res]
         merged.sort(key=lambda v: (v["key"], v["index"]))
         nviol = 0
@@ -235,23 +247,23 @@ def _spec_dict(spec):
     return d
 
 
-def _run_shard(spec, n, items):
+def _run_shard(spec, n, items, patterns):
     out = []
-    for index, g in items:
-        out.append(_verdict_for_graph(spec, n, index, g))
+    for index, key, g in items:
+        out.append(_verdict_for_graph(spec, n, index, key, g, patterns))
     return out
 
 
-def _verdict_for_graph(spec, n, index, g):
+def _verdict_for_graph(spec, n, index, key, g, patterns):
     c = spec.campaign
     if c == "lemma_suite":
-        return _lemma_suite_verdict(spec, n, index, g)
+        return _lemma_suite_verdict(n, index, key, g)
     if c == "broom_turan":
-        return _broom_turan_verdict(spec, n, index, g)
-    return _mu_campaign_verdict(spec, n, index, g)
+        return _broom_turan_verdict(spec, n, index, key, g)
+    return _mu_campaign_verdict(spec, n, index, key, g, patterns)
 
 
-def _mu_campaign_verdict(spec, n, index, g):
+def _mu_campaign_verdict(spec, n, index, key, g, patterns):
     k = spec.k
     c = spec.campaign
     eps = spec.epsilon
@@ -265,7 +277,7 @@ def _mu_campaign_verdict(spec, n, index, g):
     v = {
         "index": index,
         "n": n,
-        "key": _stable_key(g),
+        "key": key,
         "mu": mu,
         "classification": None,
         "conclusion_holds": None,
@@ -277,24 +289,15 @@ def _mu_campaign_verdict(spec, n, index, g):
     elif mu < thr - eps:
         v["classification"] = "non_qualifying"
     else:
-        # boundary policy: exceptional-graph isomorphism first, then a
-        # higher-precision re-solve, then record as boundary
-        if exceptional(g):
-            v["classification"] = "excluded_exceptional"
-            return v
-        mu_hi = spectral_radius(g, tol=1e-13).mu
-        v["mu"] = mu_hi
-        if mu_hi >= thr + eps:
-            v["classification"] = "qualifying"
-        elif mu_hi < thr - eps:
-            v["classification"] = "non_qualifying"
-        else:
-            v["classification"] = "boundary"
-            return v
+        # boundary policy: exceptional-graph isomorphism first, then
+        # record as boundary
+        v["classification"] = (
+            "excluded_exceptional" if exceptional(g) else "boundary"
+        )
     if v["classification"] != "qualifying":
         return v
     missing = []
-    for name, pat in _patterns(spec, n):
+    for name, pat in patterns:
         if pat.n > g.n or contains_tree(g, pat, budget=spec.budget) is None:
             missing.append(name)
     v["missing"] = missing
@@ -309,17 +312,15 @@ _mu_plus_cache = {}
 
 def _mu_s_plus_numeric(n, k):
     if (n, k) not in _mu_plus_cache:
-        _mu_plus_cache[(n, k)] = spectral_radius(
-            build_family(CompleteSplitPlus(n, k)), tol=1e-13
-        ).mu
+        _mu_plus_cache[(n, k)] = spectral_radius(build_family(CompleteSplitPlus(n, k))).mu
     return _mu_plus_cache[(n, k)]
 
 
-def _broom_turan_verdict(spec, n, index, g):
+def _broom_turan_verdict(spec, n, index, key, g):
     v = {
         "index": index,
         "n": n,
-        "key": _stable_key(g),
+        "key": key,
         "mu": None,
         "classification": "non_qualifying",
         "conclusion_holds": None,
@@ -338,7 +339,7 @@ def _broom_turan_verdict(spec, n, index, g):
     return v
 
 
-def _lemma_suite_verdict(spec, n, index, g):
+def _lemma_suite_verdict(n, index, key, g):
     failures = []
     verd = check_lemma(g, "sum_longest_path")
     if verd.violation:
@@ -356,7 +357,7 @@ def _lemma_suite_verdict(spec, n, index, g):
     return {
         "index": index,
         "n": n,
-        "key": _stable_key(g),
+        "key": key,
         "mu": mu,
         "classification": "qualifying",
         "conclusion_holds": not failures,

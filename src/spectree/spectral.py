@@ -39,89 +39,44 @@ def adjacency_matrix(g, dtype=float):
     return a
 
 
-def spectral_radius(g, tol=DEFAULT_TOL, max_iter=None):
+def spectral_radius(g, tol=DEFAULT_TOL):
     """Perron root of the component with largest spectral radius.
 
-    Power iteration on A + I per connected component (the shift keeps
-    bipartite +-mu pairs from stalling), all-ones start vector, stopping on
-    the infinity-norm residual ||Av - mu v||.
+    LAPACK ``eigh`` on each connected component's adjacency matrix.  The
+    reported residual is the infinity norm ||Av - mu v|| of the returned
+    unit eigenvector; a residual above tol * max(1, mu) raises
+    ConvergenceError carrying that component's result as ``best``.
     """
     if g.n == 0:
         raise ParameterError("spectral radius undefined for the empty graph")
     if tol <= 0:
         raise ParameterError("tol must be positive")
-    if max_iter is None:
-        max_iter = 100 * max(g.n, 10)
+    comps = g.component_masks()
     best = None
-    for cid, mask in enumerate(g.component_masks()):
+    for cid, mask in enumerate(comps):
         verts = bits(mask)
         if len(verts) == 1:
             res = SpectralResult(0.0, 0.0, 0, cid)
         else:
-            sub, _ = g.subgraph(verts)
-            a = adjacency_matrix(sub)
-            res = _power_iteration(a, tol, max_iter, cid)
+            sub = g if len(comps) == 1 else g.subgraph(verts)[0]
+            res = _perron(adjacency_matrix(sub), cid)
+            if res.residual > tol * max(1.0, res.mu):
+                raise ConvergenceError(
+                    f"eigh residual {res.residual:.3e} > tol {tol:.3e} * max(1, mu)",
+                    best=res,
+                )
         if best is None or res.mu > best.mu:
             best = res
     return best
 
 
-def _power_iteration(a, tol, max_iter, cid):
-    n = a.shape[0]
-    shifted = a + np.eye(n)
-    v = np.ones(n) / math.sqrt(n)
-    mu = 0.0
-    residual = math.inf
-    for it in range(1, max_iter + 1):
-        w = shifted @ v
-        norm = np.linalg.norm(w)
-        if norm == 0:
-            break
-        v = w / norm
-        av = a @ v
-        mu = float(v @ av)
-        residual = float(np.max(np.abs(av - mu * v)))
-        if residual <= tol:
-            return SpectralResult(mu, residual, it, cid)
-    raise ConvergenceError(
-        f"power iteration residual {residual:.3e} > tol {tol:.3e} "
-        f"after {max_iter} iterations",
-        best=SpectralResult(mu, residual, max_iter, cid),
-    )
-
-
-def jacobi_spectral_radius(g, sweeps=100, tol=1e-12):
-    """Largest eigenvalue via cyclic Jacobi rotations.  Second opinion for
-    tests; capped at n = 64."""
-    if g.n == 0:
-        raise ParameterError("empty graph")
-    if g.n > 64:
-        raise ParameterError("jacobi fallback capped at n=64")
-    a = adjacency_matrix(g)
-    n = g.n
-    for _ in range(sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                off = max(off, abs(apq))
-                theta = (a[q, q] - a[p, p]) / (2 * apq)
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(theta * theta + 1)
-                )
-                c = 1 / math.sqrt(t * t + 1)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = c
-                rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-        if off < tol:
-            break
-    return float(np.max(np.diag(a)))
+def _perron(a, cid):
+    """Largest eigenpair of a symmetric matrix and its true residual."""
+    w, v = np.linalg.eigh(a)
+    mu = float(w[-1])
+    x = v[:, -1]
+    residual = float(np.max(np.abs(a @ x - mu * x)))
+    return SpectralResult(mu, residual, 0, cid)
 
 
 # -- closed forms and bounds ----------------------------------------------

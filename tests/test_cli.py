@@ -118,3 +118,15 @@ class TestSubcommands:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("n,index,key,")
         assert len(lines) == 1 + 11
+
+    def test_report_rejects_other_schema_version(self, capsys, tmp_path):
+        out = tmp_path / "r.json"
+        main(["verify", "lemma_suite", "--k", "2", "--n", "4", "--out", str(out)])
+        data = json.loads(out.read_text())
+        data["schema_version"] = 99
+        out.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "schema_version 99" in captured.err

@@ -13,6 +13,7 @@ from spectree.graphs import (
     decode_graph6,
     encode_graph6,
 )
+from spectree import enumeration
 from spectree.enumeration import (
     EnumerationCursor,
     all_graphs,
@@ -85,6 +86,23 @@ class TestCursor:
         assert len(list(cur)) == 4
         with pytest.raises(StopIteration):
             next(cur)
+
+    @pytest.mark.parametrize("connected_only", [False, True])
+    def test_one_decode_per_step(self, monkeypatch, connected_only):
+        expect = [encode_graph6(g) for g in all_graphs(7, connected_only)]
+        calls = []
+
+        def counting_decode(text):
+            calls.append(text)
+            return decode_graph6(text)
+
+        monkeypatch.setattr(enumeration, "decode_graph6", counting_decode)
+        cur = EnumerationCursor(7, connected_only)
+        head = [encode_graph6(next(cur)) for _ in range(100)]
+        assert len(calls) == 100
+        tail = [encode_graph6(g) for g in EnumerationCursor(7, connected_only, cur.token)]
+        assert head + tail == expect
+        assert len(calls) == len(expect)
 
 
 class TestSpool:

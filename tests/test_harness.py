@@ -8,7 +8,9 @@ from spectree.graphs import (
     CompleteSplitPlus,
     build_family,
     canonical_key,
+    decode_graph6,
 )
+from spectree.enumeration import all_graphs
 from spectree.spectral import mu_S_closed
 from spectree.harness import (
     CAMPAIGNS,
@@ -141,6 +143,23 @@ class TestOtherCampaigns:
 
     def test_campaign_registry(self):
         assert "conjecture_a" in CAMPAIGNS and "lemma_suite" in CAMPAIGNS
+
+
+class TestExhaustiveKeys:
+    # exhaustive graphs carry the canonical graph6 key they were decoded
+    # from; the report keys must be exactly what canonicalising would give
+    @pytest.mark.parametrize(
+        "campaign, n_min",
+        # mu(S_{n,2}) needs n >= 3
+        [("conjecture_a", 3), ("lemma_suite", 1), ("broom_turan", 1)],
+    )
+    def test_keys_are_canonical(self, campaign, n_min):
+        report = run_campaign(small_spec(campaign=campaign, n_min=n_min, n_max=7))
+        for v in report.verdicts:
+            assert v["key"] == canonical_key(decode_graph6(v["key"]))
+        for n in range(n_min, 8):
+            keys = [v["key"] for v in report.verdicts if v["n"] == n]
+            assert keys == [canonical_key(g) for g in all_graphs(n)], n
 
 
 class TestReports:

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,13 +27,46 @@ from spectree.spectral import (
     bound_edges,
     bound_min_degree,
     dense_core_witness,
-    jacobi_spectral_radius,
     lemma1_certificate,
     mu_S_closed,
     mu_S_plus_bounds,
     spectral_radius,
     walk_sum_B_u,
 )
+
+
+def jacobi_spectral_radius(g, sweeps=100, tol=1e-12):
+    """Largest eigenvalue via cyclic Jacobi rotations: an oracle independent
+    of the LAPACK path in spectral_radius.  Capped at n = 64."""
+    if not 1 <= g.n <= 64:
+        raise ParameterError("jacobi oracle needs 1 <= n <= 64")
+    n = g.n
+    a = np.zeros((n, n))
+    for u, v in g.edges():
+        a[u, v] = a[v, u] = 1.0
+    for _ in range(sweeps):
+        off = 0.0
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= 1e-300:
+                    continue
+                off = max(off, abs(apq))
+                theta = (a[q, q] - a[p, p]) / (2 * apq)
+                t = math.copysign(1.0, theta) / (
+                    abs(theta) + math.sqrt(theta * theta + 1)
+                )
+                c = 1 / math.sqrt(t * t + 1)
+                s = t * c
+                rot = np.eye(n)
+                rot[p, p] = c
+                rot[q, q] = c
+                rot[p, q] = s
+                rot[q, p] = -s
+                a = rot.T @ a @ rot
+        if off < tol:
+            break
+    return float(np.max(np.diag(a)))
 
 
 def random_connected(n, rng):
@@ -80,8 +114,14 @@ class TestSpectralRadius:
 
     def test_convergence_error_carries_best(self):
         with pytest.raises(ConvergenceError) as exc:
-            spectral_radius(build_family(Path(30)), max_iter=3)
+            spectral_radius(build_family(Path(30)), tol=1e-300)
         assert exc.value.best.mu > 0
+
+    @pytest.mark.parametrize("t", [2, 10, 30, 200, 500, 2000])
+    def test_path_closed_form(self, t):
+        # mu(P_t) = 2 cos(pi / (t + 1)), on paths far longer than campaign graphs
+        mu = spectral_radius(build_family(Path(t))).mu
+        assert abs(mu - 2 * math.cos(math.pi / (t + 1))) <= 1e-12
 
     def test_matches_jacobi(self):
         rng = random.Random(5)
