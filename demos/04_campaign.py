@@ -3,8 +3,7 @@
 Scans every isomorphism class on n vertices, classifies each graph against
 the spectral threshold mu(S_{n,k}) with a boundary policy (exceptional-graph
 check, boundary bucket), and checks qualifying
-graphs for all trees of order 2k+2.  The report is deterministic and
-invariant under sharding.
+graphs for all trees of order 2k+2.  The report is deterministic.
 
 Run:  python3 demos/04_campaign.py
 """
@@ -25,9 +24,6 @@ print("exceptional equality graphs:", [v["key"] for v in excluded])
 
 boundary = [v["key"] for v in report.boundary]
 print(f"boundary cases ({len(boundary)}):", boundary[:5], "..." if len(boundary) > 5 else "")
-
-sharded = run_campaign(spec, shards=4)
-print("shard invariance:", sharded.verdicts == report.verdicts)
 
 write_report(report, "json", "/tmp/conjecture_a_n7.json")
 print("report written to /tmp/conjecture_a_n7.json",

@@ -126,7 +126,6 @@ def build_parser():
     v.add_argument("--radius", type=int, default=1)
     v.add_argument("--epsilon", type=float, default=1e-9)
     v.add_argument("--budget", type=int, default=10**8)
-    v.add_argument("--shards", type=int, default=1)
     v.add_argument("--format", choices=("json", "csv"), default="json")
     v.add_argument("--out")
 
@@ -179,7 +178,7 @@ def _dispatch(args):
     if args.command == "mu":
         g = _read_graph(args.graph)
         res = spectral_radius(g)
-        print(f"mu {res.mu:.12f} residual {res.residual:.3e} iterations {res.iterations}")
+        print(f"mu {res.mu:.12f} residual {res.residual:.3e}")
         return 0
     if args.command == "contains":
         host = _graph_or_family(args.host, args.n, args.k)
@@ -212,7 +211,7 @@ def _dispatch(args):
         return 0
     if args.command == "verify":
         spec = _campaign_spec_from_args(args)
-        report = run_campaign(spec, shards=args.shards)
+        report = run_campaign(spec)
         payload = report_to_json(report) if args.format == "json" else report_to_csv(report)
         _emit(payload, args.out)
         print(
@@ -222,42 +221,67 @@ def _dispatch(args):
         )
         return 1 if report.totals["violations"] else 0
     if args.command == "report":
-        with open(args.path) as fh:
-            data = json.load(fh)
+        try:
+            with open(args.path) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ParameterError(f"cannot read report {args.path}: {exc}") from exc
         version = data.get("schema_version") if isinstance(data, dict) else None
         if version != SCHEMA_VERSION:
             raise ParameterError(
                 f"{args.path}: schema_version {version!r} is not {SCHEMA_VERSION}"
             )
-        report = VerificationReport(**data)
+        try:
+            report = VerificationReport(**data)
+        except TypeError as exc:
+            raise ParameterError(f"{args.path}: not a report: {exc}") from exc
         payload = report_to_json(report) if args.format == "json" else report_to_csv(report)
         _emit(payload, args.out)
         return 0
     raise ParameterError(f"unknown command {args.command!r}")
 
 
-def _campaign_spec_from_args(args):
+# config-file keys and their value types
+CONFIG_KEYS = {"campaign": str, "source": str, "epsilon": float} | dict.fromkeys(
+    ("k", "n", "n_max", "seed", "count", "radius", "budget"), int
+)
+
+
+def _read_config(path):
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, ValueError) as exc:
+        raise ParameterError(f"cannot read config {path}: {exc}") from exc
     cfg = {}
-    if args.config:
-        with open(args.config) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ParameterError(f"bad config line {line!r}")
-                key, _, value = line.partition("=")
-                cfg[key.strip()] = value.strip()
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParameterError(f"{path}: bad config line {line!r}")
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in CONFIG_KEYS:
+            raise ParameterError(f"{path}: unknown config key {key!r}")
+        try:
+            cfg[key] = CONFIG_KEYS[key](value)
+        except ValueError:
+            raise ParameterError(f"{path}: bad value {value!r} for config key {key!r}") from None
+    return cfg
+
+
+def _campaign_spec_from_args(args):
+    cfg = _read_config(args.config) if args.config else {}
     campaign = cfg.get("campaign", args.campaign)
     if not campaign:
         raise ParameterError("campaign id required (positional or config)")
-    k = int(cfg.get("k", args.k))
-    n_min = int(cfg.get("n", args.n))
-    n_max = int(cfg.get("n_max", args.n_max if args.n_max is not None else n_min))
+    k = cfg.get("k", args.k)
+    n_min = cfg.get("n", args.n)
+    n_max = cfg.get("n_max", args.n_max if args.n_max is not None else n_min)
     kind = cfg.get("source", args.source)
-    seed = int(cfg.get("seed", args.seed))
-    count = int(cfg.get("count", args.count))
-    radius = int(cfg.get("radius", args.radius))
+    seed = cfg.get("seed", args.seed)
+    count = cfg.get("count", args.count)
+    radius = cfg.get("radius", args.radius)
     if kind == "exhaustive":
         source = Source("exhaustive")
     elif kind == "random":
@@ -273,8 +297,8 @@ def _campaign_spec_from_args(args):
         n_min=n_min,
         n_max=n_max,
         source=source,
-        epsilon=float(cfg.get("epsilon", args.epsilon)),
-        budget=int(cfg.get("budget", args.budget)),
+        epsilon=cfg.get("epsilon", args.epsilon),
+        budget=cfg.get("budget", args.budget),
     )
 
 

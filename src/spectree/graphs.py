@@ -54,13 +54,13 @@ class Graph:
         return [r.bit_count() for r in self.rows]
 
     def neighbors(self, v):
-        return _bits(self.rows[v])
+        return bits(self.rows[v])
 
     def edges(self):
         out = []
         for u in range(self.n):
             r = self.rows[u] >> (u + 1) << (u + 1)
-            for v in _bits(r):
+            for v in bits(r):
                 out.append((u, v))
         return out
 
@@ -112,7 +112,7 @@ class Graph:
         rows = [0] * len(vs)
         e = 0
         for i, v in enumerate(vs):
-            for w in _bits(self.rows[v]):
+            for w in bits(self.rows[v]):
                 j = index.get(w)
                 if j is not None and j > i:
                     rows[i] |= 1 << j
@@ -134,7 +134,7 @@ class Graph:
             while frontier:
                 comp |= frontier
                 nxt = 0
-                for v in _bits(frontier):
+                for v in bits(frontier):
                     nxt |= self.rows[v]
                 frontier = nxt & ~comp
             comps.append(comp)
@@ -155,13 +155,13 @@ class Graph:
             shells.append(frontier)
             seen |= frontier
             nxt = 0
-            for v in _bits(frontier):
+            for v in bits(frontier):
                 nxt |= self.rows[v]
             frontier = nxt & ~seen
         return shells
 
 
-def _bits(mask):
+def bits(mask):
     """Indices of set bits, ascending."""
     out = []
     while mask:
@@ -169,10 +169,6 @@ def _bits(mask):
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-def bits(mask):
-    return _bits(mask)
 
 
 # -- family specs ---------------------------------------------------------
@@ -380,7 +376,7 @@ def m_copies(g, m):
 
 def neighborhood_shells(g, u):
     """Vertex sets N^1(u), N^2(u), ... as sorted lists."""
-    return [set(_bits(m)) for m in g.bfs_shells(u)]
+    return [set(bits(m)) for m in g.bfs_shells(u)]
 
 
 # -- graph6 ----------------------------------------------------------------

@@ -8,7 +8,9 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
+from functools import partial
+from itertools import chain
 
 from . import __version__
 from .errors import ParameterError
@@ -87,52 +89,48 @@ class VerificationReport:
 
 
 def _graph_stream(spec, n):
-    """Deterministic (index, key, graph) stream for one order.  Indices are
-    stable regardless of sharding.  Exhaustive graphs are decoded from
-    their canonical graph6 keys, so the key comes with the graph; sampled
-    graphs get theirs from `_stable_key`."""
+    """Deterministic (index, key, graph) stream for one order, generated
+    lazily.  Exhaustive graphs are decoded from their canonical graph6
+    keys, so the key comes with the graph; sampled graphs get theirs from
+    `_stable_key`, and their keys can repeat."""
     src = spec.source
     if src.kind == "exhaustive":
         for i, (key, g) in enumerate(keyed_graphs(n)):
             yield i, key, g
         return
-    for i, g in _sampled_graphs(spec, n):
+    if src.kind == "random":
+        graphs = (
+            random_graph(n, p=0.5, seed=src.seed * 1_000_003 + n * 101 + i)
+            for i in range(src.count)
+        )
+    elif src.kind == "perturbation":
+        if not isinstance(src.base, (CompleteSplit, CompleteSplitPlus)):
+            raise ParameterError("perturbation base must be a complete-split spec")
+        base = type(src.base)(n, src.base.k)
+        # the unperturbed base, then `count` draws per (add, remove) pair
+        draws = [
+            (a, r)
+            for a in range(src.radius + 1)
+            for r in range(src.radius + 1 - a)
+            if a + r
+            for _ in range(src.count or 20)
+        ]
+        graphs = chain(
+            [build_family(base)],
+            (
+                perturb_extremal(base, add=a, remove=r, seed=src.seed * 7_654_321 + i)
+                for i, (a, r) in enumerate(draws, start=1)
+            ),
+        )
+    else:
+        raise ParameterError(f"unknown source kind {src.kind!r}")
+    for i, g in enumerate(graphs):
         yield i, _stable_key(g), g
 
 
-def _sampled_graphs(spec, n):
-    src = spec.source
-    if src.kind == "random":
-        for i in range(src.count):
-            yield i, random_graph(n, p=0.5, seed=src.seed * 1_000_003 + n * 101 + i)
-    elif src.kind == "perturbation":
-        base = src.base
-        if isinstance(base, CompleteSplit):
-            base = CompleteSplit(n, base.k)
-        elif isinstance(base, CompleteSplitPlus):
-            base = CompleteSplitPlus(n, base.k)
-        else:
-            raise ParameterError("perturbation base must be a complete-split spec")
-        i = 0
-        yield i, build_family(base)
-        count = src.count or 20
-        for a in range(src.radius + 1):
-            for r in range(src.radius + 1 - a):
-                if a + r == 0:
-                    continue
-                for j in range(count):
-                    i += 1
-                    yield i, perturb_extremal(
-                        base, add=a, remove=r, seed=src.seed * 7_654_321 + i
-                    )
-    else:
-        raise ParameterError(f"unknown source kind {src.kind!r}")
-
-
 def _patterns(spec):
-    """The containment conclusion patterns for mu-threshold campaigns.
-    They depend on the campaign and k only, so run_campaign builds them
-    once."""
+    """The containment conclusion patterns of a campaign.  They depend on
+    the campaign and k only, so run_campaign builds them once."""
     k = spec.k
     c = spec.campaign
     if c in ("conjecture_a", "conjecture_b"):
@@ -154,7 +152,7 @@ def _patterns(spec):
                 out.append((f"spider_{'_'.join(map(str, legs))}", build_family(sp)))
         return out
     if c == "broom_turan":
-        return [("broom", build_family(Broom(2, 2 * k + 1)))]
+        return [(f"broom_2_{2 * k + 1}", build_family(Broom(2, 2 * k + 1)))]
     if c == "genbroom_explore":
         out = []
         order = 2 * k + 3
@@ -187,40 +185,31 @@ def _stable_key(g):
     return encode_graph6(g)
 
 
-def run_campaign(spec, shards=1):
-    """Run one campaign.  `shards` partitions the stream; results are
-    invariant under the partitioning."""
+def run_campaign(spec):
+    """Run one campaign.  Graphs are checked as they are generated; each
+    order's verdicts are then sorted by (key, index), so the report lists
+    them in (n, key, index) order."""
     spec.validate()
     t_start = time.perf_counter()
     patterns = _patterns(spec)
     verdicts = []
-    violations = []
-    boundary = []
     per_n_violations = {}
-    scanned = 0
-    qualifying = 0
     for n in range(spec.n_min, spec.n_max + 1):
-        items = list(_graph_stream(spec, n))
-        shard_lists = [items[s::shards] for s in range(shards)]
-        shard_results = [_run_shard(spec, n, chunk, patterns) for chunk in shard_lists]
-        merged = [v for res in shard_results for v in res]
-        merged.sort(key=lambda v: (v["key"], v["index"]))
-        nviol = 0
-        for v in merged:
-            scanned += 1
-            if v["classification"] == "qualifying":
-                qualifying += 1
-            if v["classification"] == "boundary":
-                boundary.append(v)
-            if v["violation"]:
-                violations.append(v)
-                nviol += 1
-            verdicts.append(v)
-        per_n_violations[n] = nviol
-    thresholds = _empirical_thresholds(per_n_violations)
+        check = None
+        rows = []
+        for index, key, g in _graph_stream(spec, n):
+            # chosen at the first graph, so an order without graphs needs
+            # no threshold
+            check = check or _checker(spec, n, patterns)
+            rows.append(check(index, key, g))
+        rows.sort(key=lambda v: (v["key"], v["index"]))
+        per_n_violations[n] = sum(v["violation"] for v in rows)
+        verdicts += rows
+    violations = [v for v in verdicts if v["violation"]]
+    boundary = [v for v in verdicts if v["classification"] == "boundary"]
     totals = {
-        "graphs_scanned": scanned,
-        "hypothesis_satisfying": qualifying,
+        "graphs_scanned": len(verdicts),
+        "hypothesis_satisfying": sum(v["classification"] == "qualifying" for v in verdicts),
         "boundary_classified": len(boundary),
         "violations": len(violations),
     }
@@ -232,7 +221,7 @@ def run_campaign(spec, shards=1):
         verdicts=verdicts,
         violations=violations,
         boundary=boundary,
-        empirical_thresholds=thresholds,
+        empirical_thresholds=_empirical_thresholds(per_n_violations),
         timings=timings,
         tool_version=__version__,
     )
@@ -247,96 +236,69 @@ def _spec_dict(spec):
     return d
 
 
-def _run_shard(spec, n, items, patterns):
-    out = []
-    for index, key, g in items:
-        out.append(_verdict_for_graph(spec, n, index, key, g, patterns))
-    return out
-
-
-def _verdict_for_graph(spec, n, index, key, g, patterns):
-    c = spec.campaign
-    if c == "lemma_suite":
-        return _lemma_suite_verdict(n, index, key, g)
-    if c == "broom_turan":
-        return _broom_turan_verdict(spec, n, index, key, g)
-    return _mu_campaign_verdict(spec, n, index, key, g, patterns)
-
-
-def _mu_campaign_verdict(spec, n, index, key, g, patterns):
-    k = spec.k
-    c = spec.campaign
-    eps = spec.epsilon
-    if c == "conjecture_b":
-        thr = _mu_s_plus_numeric(n, k)
-        exceptional = lambda h: is_complete_split_plus(h, k)
-    else:
-        thr = mu_S_closed(n, k)
-        exceptional = lambda h: is_complete_split(h, k)
-    mu = spectral_radius(g).mu
-    v = {
+def _verdict(index, n, key, mu, classification, missing=None, advisory=False):
+    """One report row.  Only checked rows pass `missing`, the names of the
+    patterns or lemma checks that failed; an advisory campaign never
+    records a violation."""
+    return {
         "index": index,
         "n": n,
         "key": key,
         "mu": mu,
-        "classification": None,
-        "conclusion_holds": None,
-        "missing": [],
-        "violation": False,
+        "classification": classification,
+        "conclusion_holds": None if missing is None else not missing,
+        "missing": missing or [],
+        "violation": bool(missing) and not advisory,
     }
-    if mu >= thr + eps:
-        v["classification"] = "qualifying"
-    elif mu < thr - eps:
-        v["classification"] = "non_qualifying"
+
+
+def _checker(spec, n, patterns):
+    """The verdict function (index, key, graph) -> row for order n, with
+    the threshold, the exceptional-graph test and the patterns bound."""
+    k = spec.k
+    c = spec.campaign
+    if c == "lemma_suite":
+        return partial(_lemma_suite_verdict, n)
+
+    def missing(g):
+        return [
+            name
+            for name, pat in patterns
+            if pat.n > g.n or contains_tree(g, pat, budget=spec.budget) is None
+        ]
+
+    if c == "broom_turan":
+        edges = edge_threshold_S_plus(n, k) if n >= k + 2 else None
+
+        def broom_turan(index, key, g):
+            # advisory at small n; thresholds reported
+            if edges is None or g.e < edges or not g.is_connected():
+                return _verdict(index, n, key, None, "non_qualifying")
+            return _verdict(index, n, key, None, "qualifying", missing(g))
+
+        return broom_turan
+
+    if c == "conjecture_b":
+        thr = spectral_radius(build_family(CompleteSplitPlus(n, k))).mu
+        exceptional = is_complete_split_plus
     else:
+        thr = mu_S_closed(n, k)
+        exceptional = is_complete_split
+    eps = spec.epsilon
+    advisory = c == "genbroom_explore"
+
+    def mu_campaign(index, key, g):
+        mu = spectral_radius(g).mu
+        if mu >= thr + eps:
+            return _verdict(index, n, key, mu, "qualifying", missing(g), advisory)
+        if mu < thr - eps:
+            return _verdict(index, n, key, mu, "non_qualifying")
         # boundary policy: exceptional-graph isomorphism first, then
         # record as boundary
-        v["classification"] = (
-            "excluded_exceptional" if exceptional(g) else "boundary"
-        )
-    if v["classification"] != "qualifying":
-        return v
-    missing = []
-    for name, pat in patterns:
-        if pat.n > g.n or contains_tree(g, pat, budget=spec.budget) is None:
-            missing.append(name)
-    v["missing"] = missing
-    v["conclusion_holds"] = not missing
-    advisory = spec.campaign == "genbroom_explore"
-    v["violation"] = bool(missing) and not advisory
-    return v
+        cls = "excluded_exceptional" if exceptional(g, k) else "boundary"
+        return _verdict(index, n, key, mu, cls)
 
-
-_mu_plus_cache = {}
-
-
-def _mu_s_plus_numeric(n, k):
-    if (n, k) not in _mu_plus_cache:
-        _mu_plus_cache[(n, k)] = spectral_radius(build_family(CompleteSplitPlus(n, k))).mu
-    return _mu_plus_cache[(n, k)]
-
-
-def _broom_turan_verdict(spec, n, index, key, g):
-    v = {
-        "index": index,
-        "n": n,
-        "key": key,
-        "mu": None,
-        "classification": "non_qualifying",
-        "conclusion_holds": None,
-        "missing": [],
-        "violation": False,
-    }
-    if not g.is_connected():
-        return v
-    if n < spec.k + 2 or g.e < edge_threshold_S_plus(n, spec.k):
-        return v
-    v["classification"] = "qualifying"
-    ok = contains_tree(g, Broom(2, 2 * spec.k + 1), budget=spec.budget) is not None
-    v["conclusion_holds"] = ok
-    v["missing"] = [] if ok else [f"broom_2_{2 * spec.k + 1}"]
-    v["violation"] = not ok  # advisory at small n; thresholds reported
-    return v
+    return mu_campaign
 
 
 def _lemma_suite_verdict(n, index, key, g):
@@ -354,16 +316,7 @@ def _lemma_suite_verdict(n, index, key, g):
     delta = min(g.degrees()) if g.n else 0
     if mu > bound_min_degree(g.n, g.e, delta) + 1e-9:
         failures.append("min_degree_bound")
-    return {
-        "index": index,
-        "n": n,
-        "key": key,
-        "mu": mu,
-        "classification": "qualifying",
-        "conclusion_holds": not failures,
-        "missing": failures,
-        "violation": bool(failures),
-    }
+    return _verdict(index, n, key, mu, "qualifying", failures)
 
 
 def _empirical_thresholds(per_n_violations):

@@ -27,7 +27,6 @@ DEFAULT_TOL = 1e-10
 class SpectralResult:
     mu: float
     residual: float
-    iterations: int
     component_id: int
 
 
@@ -56,7 +55,7 @@ def spectral_radius(g, tol=DEFAULT_TOL):
     for cid, mask in enumerate(comps):
         verts = bits(mask)
         if len(verts) == 1:
-            res = SpectralResult(0.0, 0.0, 0, cid)
+            res = SpectralResult(0.0, 0.0, cid)
         else:
             sub = g if len(comps) == 1 else g.subgraph(verts)[0]
             res = _perron(adjacency_matrix(sub), cid)
@@ -76,7 +75,7 @@ def _perron(a, cid):
     mu = float(w[-1])
     x = v[:, -1]
     residual = float(np.max(np.abs(a @ x - mu * x)))
-    return SpectralResult(mu, residual, 0, cid)
+    return SpectralResult(mu, residual, cid)
 
 
 # -- closed forms and bounds ----------------------------------------------

@@ -241,18 +241,18 @@ def test_09_conjecture_campaign_report():
         spec = CampaignSpec(
             campaign="conjecture_a", k=2, n_min=8, n_max=8, source=Source("exhaustive")
         )
-        serial = run_campaign(spec)
-        assert serial.totals["graphs_scanned"] == 12346
+        report = run_campaign(spec)
+        assert report.totals["graphs_scanned"] == 12346
 
         # the extremal graph is the unique exceptional equality graph
         excluded = [
-            v for v in serial.verdicts if v["classification"] == "excluded_exceptional"
+            v for v in report.verdicts if v["classification"] == "excluded_exceptional"
         ]
         assert len(excluded) == 1
         assert excluded[0]["key"] == canonical_key(build_family(CompleteSplit(8, 2)))
 
         # schema-valid, deterministic report
-        payload = report_to_json(serial)
+        payload = report_to_json(report)
         data = json.loads(payload)
         assert data["schema_version"] == 1
         assert set(data) == {
@@ -268,10 +268,10 @@ def test_09_conjecture_campaign_report():
         }
         assert report_to_json(VerificationReport(**data)) == payload
 
-        # sharded and serial runs agree on the violation set (and verdicts)
-        sharded = run_campaign(spec, shards=3)
-        assert sharded.violations == serial.violations
-        assert sharded.verdicts == serial.verdicts
+        # a second run agrees on the violation set (and verdicts)
+        again = run_campaign(spec)
+        assert again.violations == report.violations
+        assert again.verdicts == report.verdicts
 
 
 def test_10_graph6_conformance():

@@ -59,6 +59,31 @@ class TestExitCodes:
         data = json.loads(out.read_text())
         assert data["totals"]["violations"] == 0
 
+    @pytest.mark.parametrize(
+        "line, named",
+        # a missing file, values of the wrong type, an unknown key
+        [(None, ""), ("k=two", "'k'"), ("n = 4.5", "'n'"), ("epslion=0.5", "'epslion'")],
+    )
+    def test_usage_error_bad_config(self, capsys, tmp_path, line, named):
+        cfg = tmp_path / "c.cfg"
+        if line is not None:
+            cfg.write_text(f"campaign = lemma_suite\nn = 4\n{line}\n")
+        code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err and str(cfg) in err
+
+    @pytest.mark.parametrize("content", [None, "not json {", '{"schema_version": 1}'])
+    def test_usage_error_bad_report(self, capsys, tmp_path, content):
+        # a missing file, non-JSON, and JSON missing report fields
+        path = tmp_path / "r.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and str(path) in captured.err
+
     def test_verify_one_on_violations(self, capsys, tmp_path):
         # order 2k+2 = n: spanning-tree targets fail for dense disconnected
         # graphs, so the exhaustive n=6 scan reports violations
@@ -77,6 +102,7 @@ class TestSubcommands:
         assert main(["mu", g6]) == 0
         out = capsys.readouterr().out
         assert out.startswith("mu 3.0000000000")
+        assert "iterations" not in out
 
     def test_contains_positive(self, capsys):
         assert main(["contains", "S+", "--n", "10", "--k", "2", "broom:2,5"]) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -79,15 +80,6 @@ class TestMuCampaign:
         assert len(excluded) == 1
         assert excluded[0]["key"] == canonical_key(build_family(CompleteSplit(6, 2)))
 
-    def test_shard_invariance(self):
-        serial = run_campaign(small_spec())
-        sharded = run_campaign(small_spec(), shards=5)
-        strip = lambda r: [
-            {k: v for k, v in verdict.items()} for verdict in r.verdicts
-        ]
-        assert strip(serial) == strip(sharded)
-        assert serial.violations == sharded.violations
-
     def test_conjecture_b_excludes_augmented_extremal(self):
         spec = small_spec(campaign="conjecture_b")
         report = run_campaign(spec)
@@ -98,11 +90,19 @@ class TestMuCampaign:
         assert canonical_key(build_family(CompleteSplitPlus(6, 2))) in keys
 
     def test_random_source_deterministic(self):
-        spec = small_spec(source=Source("random", count=15, seed=9))
+        # 30 draws on 4 vertices (11 classes) repeat keys; verdicts come in
+        # (n, key, index) order and two runs agree byte for byte outside
+        # the timings
+        spec = small_spec(n_min=4, n_max=5, source=Source("random", count=30, seed=9))
         a = run_campaign(spec)
         b = run_campaign(spec)
+        order = [(v["n"], v["key"], v["index"]) for v in a.verdicts]
+        assert len({(n, key) for n, key, _ in order}) < len(order)
+        assert order == sorted(order)
         assert a.verdicts == b.verdicts
         assert a.totals == b.totals
+        strip = lambda r: report_to_json(dataclasses.replace(r, timings={}))
+        assert strip(a) == strip(b)
 
     def test_perturbation_source(self):
         spec = small_spec(
