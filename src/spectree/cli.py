@@ -49,28 +49,48 @@ USAGE_ERROR = 2
 CAP_ERROR = 3
 
 
+# family tokens sized by --n and --k
+_SPLIT_FAMILIES = {
+    "s": CompleteSplit,
+    "complete-split": CompleteSplit,
+    "s+": CompleteSplitPlus,
+    "complete-split-plus": CompleteSplitPlus,
+}
+# family tokens with parameters after the colon, and how many they take
+_PARAM_FAMILIES = {
+    "path": (Path, 1),
+    "star": (Star, 1),
+    "complete": (Complete, 1),
+    "broom": (Broom, 2),
+    "genbroom": (GeneralizedBroom, 3),
+}
+
+
 def parse_family(text, n=None, k=None):
-    """Family spec from a CLI token like 'S', 'S+', 'path:6', 'spider:1,1,3'."""
+    """Family spec from a CLI token like 'S', 'S+', 'path:6', 'spider:1,1,3'.
+    S and S+ take --n and --k; path, star and complete default to --n."""
     name, _, args = text.partition(":")
-    params = [int(x) for x in args.split(",")] if args else []
+    try:
+        params = [int(x) for x in args.split(",")] if args else []
+    except ValueError:
+        raise ParameterError(f"family {text!r}: parameters must be integers") from None
     name = name.lower()
-    if name in ("s", "complete-split"):
-        return CompleteSplit(n, k)
-    if name in ("s+", "complete-split-plus"):
-        return CompleteSplitPlus(n, k)
-    if name == "path":
-        return Path(params[0] if params else n)
-    if name == "star":
-        return Star(params[0] if params else n - 1)
-    if name == "complete":
-        return Complete(params[0] if params else n)
+    if name in _SPLIT_FAMILIES:
+        if n is None or k is None:
+            raise ParameterError(f"family {text!r} needs --n and --k")
+        return _SPLIT_FAMILIES[name](n, k)
     if name == "spider":
         return Spider(*params)
-    if name == "broom":
-        return Broom(*params)
-    if name == "genbroom":
-        return GeneralizedBroom(*params)
-    raise ParameterError(f"unknown family {text!r}")
+    if name not in _PARAM_FAMILIES:
+        raise ParameterError(f"unknown family {text!r}")
+    cls, arity = _PARAM_FAMILIES[name]
+    if not params and arity == 1:
+        if n is None:
+            raise ParameterError(f"family {text!r} needs a parameter or --n")
+        params = [n - 1 if name == "star" else n]
+    if len(params) != arity:
+        raise ParameterError(f"family {text!r}: expected {arity} parameter(s)")
+    return cls(*params)
 
 
 def _read_graph(arg):
@@ -136,6 +156,15 @@ def build_parser():
     return p
 
 
+def _check_out(path):
+    """Fail before any work when --out cannot be written."""
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(text, out):
     if out:
         with open(out, "w") as fh:
@@ -160,6 +189,8 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code in (0, None) else USAGE_ERROR
     try:
+        if getattr(args, "out", None):
+            _check_out(args.out)
         return _dispatch(args)
     except (ParameterError, Graph6Error, HypothesisViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,7 +25,10 @@ _connected_cache = {}
 
 def _representatives(n):
     """Canonical representatives of all isomorphism classes on n vertices,
-    sorted by canonical graph6 string.  Built by vertex augmentation."""
+    sorted by canonical graph6 string.  Built by vertex augmentation that
+    keeps only children whose new vertex has maximum degree: deleting a
+    maximum-degree vertex of any graph on n vertices leaves a parent in the
+    n - 1 list, so every class is still reached."""
     if n in _cache:
         return _cache[n]
     if n == 1:
@@ -34,9 +37,17 @@ def _representatives(n):
         keys = set()
         for key in _representatives(n - 1):
             base = decode_graph6(key)
+            degrees = base.degrees()
+            top = max(degrees)
+            top_mask = sum(1 << v for v, d in enumerate(degrees) if d == top)
             for mask in range(1 << (n - 1)):
+                d = mask.bit_count()
+                # the new vertex has degree d; a neighbour of degree top
+                # would reach top + 1
+                if d < top or d == top and mask & top_mask:
+                    continue
                 rows = list(base.rows) + [mask]
-                e = base.e + bin(mask).count("1")
+                e = base.e + d
                 for v in range(n - 1):
                     if mask >> v & 1:
                         rows[v] |= 1 << (n - 1)

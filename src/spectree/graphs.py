@@ -509,7 +509,8 @@ def canonical_key(g, cap=CANONICAL_CAP):
     """Canonical graph6 string: identical iff graphs are isomorphic.
 
     Minimum upper-triangle bit code over all vertex orderings consistent
-    with the stable WL color classes, found by branch-and-bound.
+    with the stable WL color classes, found by branch-and-bound that
+    explores one vertex of each set of twins at a search node.
     """
     if g.n > cap:
         raise CapExceededError(f"canonical form capped at n={cap}, got n={g.n}")
@@ -535,8 +536,14 @@ def canonical_key(g, cap=CANONICAL_CAP):
         block = blocks[bi] if remaining is None else remaining
         pos = len(seq)
         for idx, v in enumerate(block):
-            col = 0
             rv = rows[v]
+            # an earlier twin u of v gives the same codes: swapping u and v
+            # is an automorphism that fixes the placed prefix
+            if idx and any(
+                (rows[u] ^ rv) & ~(1 << u | 1 << v) == 0 for u in block[:idx]
+            ):
+                continue
+            col = 0
             for i in range(pos):
                 col = col << 1 | (rv >> seq[i] & 1)
             t = tight

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from spectree import cli
 from spectree.cli import main, parse_family
 from spectree.errors import ParameterError
 from spectree.graphs import (
@@ -83,6 +84,32 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and str(path) in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, token",
+        # a non-integer parameter, S without --n/--k (as a family and as a
+        # host), and a broom with one parameter
+        [
+            (["family", "path:x"], "'path:x'"),
+            (["family", "S"], "'S'"),
+            (["contains", "S", "path:5", "--n", "6"], "'S'"),
+            (["family", "broom:3"], "'broom:3'"),
+        ],
+    )
+    def test_usage_error_bad_family_token(self, capsys, argv, token):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and token in err
+
+    def test_usage_error_unwritable_out(self, capsys, tmp_path, monkeypatch):
+        # the --out path is checked before the campaign runs
+        ran = []
+        monkeypatch.setattr(cli, "run_campaign", ran.append)
+        out = tmp_path / "missing_dir" / "r.json"
+        assert main(["verify", "lemma_suite", "--n", "4", "--out", str(out)]) == 2
+        assert ran == []
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(out) in err
 
     def test_verify_one_on_violations(self, capsys, tmp_path):
         # order 2k+2 = n: spanning-tree targets fail for dense disconnected

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from spectree.graphs import (
 from spectree import enumeration
 from spectree.enumeration import (
     EnumerationCursor,
+    _ordered_keys,
     all_graphs,
     perturb_extremal,
     random_graph,
@@ -46,6 +49,27 @@ class TestAllGraphs:
 
     def test_pinned_counts(self):
         assert [len(all_graphs(n)) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
+
+    @pytest.mark.parametrize(
+        "n, count, digest",
+        [
+            (7, 1044, "cf43d74eea2e83dd129ee163ab4ba9c0f95efd52978be61a3b45e8d9557307a0"),
+            (8, 12346, "3e503c8c6bec0555cca2382d86a1bb2ede4f18a9e854b4caed44bad3415cacb5"),
+        ],
+    )
+    def test_pinned_key_strings(self, n, count, digest):
+        # the keys are graph identities in reports, so their bytes are pinned:
+        # sha256 of the ordered keys joined by newlines
+        keys = _ordered_keys(n)
+        assert len(keys) == count
+        assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == digest
+
+    @pytest.mark.skipif(
+        os.environ.get("SPECTREE_SLOW") != "1",
+        reason="opt-in n = 9 tier, about 80 s; set SPECTREE_SLOW=1",
+    )
+    def test_opt_in_n9_count(self):
+        assert len(_ordered_keys(9, cap=9)) == 274668
 
     def test_connected_counts(self):
         assert [len(all_graphs(n, connected_only=True)) for n in range(1, 7)] == [

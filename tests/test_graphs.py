@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +35,82 @@ from spectree.graphs import (
 def random_graph_raw(n, p, rng):
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)
+
+
+def frozen_canonical_key(g):
+    """The canonical form as it stood before twin pruning, kept frozen as an
+    oracle: stable 1-WL colours, then the minimum column code over every
+    colour-respecting ordering, with no symmetry pruning."""
+    if g.n <= 1:
+        return encode_graph6(g)
+    colors = g.degrees()
+    while True:
+        sigs = [
+            (colors[v], tuple(sorted(colors[w] for w in g.neighbors(v))))
+            for v in range(g.n)
+        ]
+        ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [ranks[s] for s in sigs]
+        if len(set(new)) == len(set(colors)):
+            break
+        colors = new
+    classes = {}
+    for v, c in enumerate(new):
+        classes.setdefault(c, []).append(v)
+    blocks = [classes[c] for c in sorted(classes)]
+    rows = g.rows
+    best = None
+    seq = []
+    cols = []
+
+    def rec(bi, remaining, tight):
+        nonlocal best
+        if bi == len(blocks):
+            if best is None or cols < best:
+                best = list(cols)
+            return
+        block = blocks[bi] if remaining is None else remaining
+        pos = len(seq)
+        for idx, v in enumerate(block):
+            col = 0
+            for i in range(pos):
+                col = col << 1 | (rows[v] >> seq[i] & 1)
+            t = tight
+            if t and best is not None:
+                if col > best[pos]:
+                    continue
+                if col < best[pos]:
+                    t = False
+            seq.append(v)
+            cols.append(col)
+            rest = block[:idx] + block[idx + 1 :]
+            if rest:
+                rec(bi, rest, t)
+            else:
+                rec(bi + 1, None, t)
+            seq.pop()
+            cols.pop()
+
+    rec(0, None, True)
+    edges = [
+        (i, j) for j in range(1, g.n) for i in range(j) if best[j] >> (j - 1 - i) & 1
+    ]
+    return encode_graph6(Graph.from_edges(g.n, edges))
+
+
+def plant_twins(g, count, rng):
+    """g plus `count` new vertices, each a true or false twin of a random
+    existing vertex, randomly relabelled."""
+    for _ in range(count):
+        u = rng.randrange(g.n)
+        w = g.n
+        edges = g.edges() + [(x, w) for x in g.neighbors(u)]
+        if rng.random() < 0.5:
+            edges.append((u, w))
+        g = Graph.from_edges(w + 1, edges)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.relabel(perm)
 
 
 class TestFamilies:
@@ -216,6 +293,36 @@ class TestCanonical:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             canonical_key(empty_graph(11))
+
+    def test_symmetric_inputs(self):
+        # keys pinned from the unpruned search, which took about 40 s on
+        # these four together; each has a colour block of twins
+        cases = [
+            (empty_graph(10), "I????????"),
+            (build_family(Complete(10)), "I~~~~~~~w"),
+            (build_family(Star(9)), "I??????~w"),
+            (build_family(CompleteSplit(10, 2)), "I????B~~w"),
+        ]
+        start = time.perf_counter()
+        assert [canonical_key(g) for g, _ in cases] == [key for _, key in cases]
+        assert time.perf_counter() - start < 2.0
+
+    def test_frozen_oracle_with_planted_twins(self):
+        # random and circulant bases: circulants are regular, so one colour
+        # block holds vertices that are not twins
+        rng = random.Random(11)
+        for _ in range(120):
+            base = rng.randint(1, 6)
+            if rng.random() < 0.5:
+                g = random_graph_raw(base, rng.random(), rng)
+            else:
+                jumps = [d for d in range(1, base // 2 + 1) if rng.random() < 0.5]
+                edges = {
+                    tuple(sorted((i, (i + d) % base))) for i in range(base) for d in jumps
+                }
+                g = Graph.from_edges(base, edges)
+            g = plant_twins(g, rng.randint(1, 8 - base), rng)
+            assert canonical_key(g) == frozen_canonical_key(g)
 
 
 class TestFamilyRecognizers:
