@@ -81,7 +81,13 @@ def contains_tree(host, pattern, budget=DEFAULT_BUDGET):
     order, parents, pat_deg = _pattern_order(pat)
     if pat.n > host.n:
         return None
-    return _embed_tree(host, order, parents, pat_deg, _Budget(budget))
+    image = _embed_tree(host, parents, pat_deg, _Budget(budget))
+    if image is None:
+        return None
+    assignment = [0] * pat.n
+    for v, h in zip(order, image):
+        assignment[v] = h
+    return Embedding(tuple(assignment))
 
 
 @lru_cache(maxsize=1024)
@@ -108,15 +114,20 @@ def _pattern_order(pat):
     return tuple(order), tuple(parents), tuple(pat.degree(v) for v in order)
 
 
-def _embed_tree(host, order, parents, pat_deg, budget):
-    n = len(order)
+def _embed_tree(host, parents, pat_deg, budget, roots=None):
+    """Backtracking search for a tree laid out with parents[i] < i.
+
+    Returns the host images of the pattern positions, or None.  The root
+    tries `roots` when given, else every host vertex."""
+    n = len(parents)
     image = [0] * n
     rows = host.rows
     deg = host.degrees()
     by_deg = deg.__getitem__
     # candidates in decreasing host degree, ties by vertex id (stable
     # sort); neighbour lists are sorted once per host vertex, on first use
-    host_by_deg = sorted(range(host.n), key=by_deg, reverse=True)
+    if roots is None:
+        roots = sorted(range(host.n), key=by_deg, reverse=True)
     nbrs_by_deg = {}
 
     def rec(i, used):
@@ -125,7 +136,7 @@ def _embed_tree(host, order, parents, pat_deg, budget):
             return True
         need = pat_deg[i]
         if parents[i] is None:
-            cands = host_by_deg
+            cands = roots
         else:
             p = image[parents[i]]
             cands = nbrs_by_deg.get(p)
@@ -148,26 +159,7 @@ def _embed_tree(host, order, parents, pat_deg, budget):
                 return True
         return False
 
-    if not rec(0, 0):
-        return None
-    assignment = [0] * n
-    for i, v in enumerate(order):
-        assignment[v] = image[i]
-    return Embedding(tuple(assignment))
-
-
-def brute_force_contains(host, pattern):
-    """Permutation-oracle containment test (small instances only)."""
-    from itertools import permutations
-
-    pat = as_graph(pattern)
-    if pat.n > host.n:
-        return None
-    pedges = pat.edges()
-    for perm in permutations(range(host.n), pat.n):
-        if all(host.has_edge(perm[u], perm[v]) for u, v in pedges):
-            return Embedding(tuple(perm))
-    return None
+    return image if rec(0, 0) else None
 
 
 # -- vertex-cover test ----------------------------------------------------
@@ -219,8 +211,11 @@ def fits_in_S(tree, k):
 def find_linear_forest(host, lengths, anchor_set=None, budget=DEFAULT_BUDGET):
     """Vertex-disjoint paths with the given vertex counts.
 
-    When anchor_set is given, every path has at least one end-vertex inside
-    it.  Returns a list of vertex lists aligned with `lengths`, or None.
+    When anchor_set is given, every path starts at a vertex inside it.
+    Returns a list of vertex lists aligned with `lengths`, each listed from
+    its anchored end, or None.  The forest is searched as a spider: an apex
+    joined to the anchor set (to every vertex when there is none) is the
+    centre and the paths are its legs, laid out longest first.
     """
     if not lengths or any(t < 1 for t in lengths):
         raise ParameterError(f"path orders must be >= 1, got {lengths}")
@@ -234,50 +229,26 @@ def find_linear_forest(host, lengths, anchor_set=None, budget=DEFAULT_BUDGET):
         anchor_mask = (1 << host.n) - 1
     if sum(lengths) > host.n:
         return None
+    apex = host.n
+    rows = [row | (anchor_mask >> v & 1) << apex for v, row in enumerate(host.rows)]
+    rows.append(anchor_mask)
+    augmented = Graph(host.n + 1, tuple(rows), host.e + anchor_mask.bit_count())
     idx = sorted(range(len(lengths)), key=lambda i: -lengths[i])
-    bud = _Budget(budget)
+    parents = [None]
+    pat_deg = [len(lengths)]
+    for i in idx:
+        first = len(parents)
+        parents += [0, *range(first, first + lengths[i] - 1)]
+        pat_deg += [2] * (lengths[i] - 1) + [1]
+    image = _embed_tree(augmented, parents, pat_deg, _Budget(budget), roots=[apex])
+    if image is None:
+        return None
     paths = [None] * len(lengths)
-
-    def place(j, used):
-        if j == len(idx):
-            return True
-        want = lengths[idx[j]]
-        open_sigs = set()
-        closed_sigs = set()
-        for start in bits(anchor_mask & ~used):
-            bud.spend()
-            row = host.rows[start]
-            if row in open_sigs or row | 1 << start in closed_sigs:
-                continue
-            open_sigs.add(row)
-            closed_sigs.add(row | 1 << start)
-            if extend([start], used | 1 << start, want, j):
-                return True
-        return False
-
-    def extend(path, used, want, j):
-        if len(path) == want:
-            paths[idx[j]] = list(path)
-            if place(j + 1, used):
-                return True
-            paths[idx[j]] = None
-            return False
-        open_sigs = set()
-        closed_sigs = set()
-        for w in bits(host.rows[path[-1]] & ~used):
-            bud.spend()
-            row = host.rows[w]
-            if row in open_sigs or row | 1 << w in closed_sigs:
-                continue
-            open_sigs.add(row)
-            closed_sigs.add(row | 1 << w)
-            path.append(w)
-            if extend(path, used | 1 << w, want, j):
-                return True
-            path.pop()
-        return False
-
-    return paths if place(0, 0) else None
+    pos = 1
+    for i in idx:
+        paths[i] = image[pos : pos + lengths[i]]
+        pos += lengths[i]
+    return paths
 
 
 # -- longest paths ---------------------------------------------------------
@@ -392,28 +363,6 @@ def all_trees_of_order(t, cap=12):
     return [level[c] for c in sorted(level)]
 
 
-def labeled_tree_from_pruefer(seq, t):
-    """Labeled tree on t vertices from a Pruefer sequence (len t-2)."""
-    degree = [1] * t
-    for v in seq:
-        degree[v] += 1
-    edges = []
-    import heapq
-
-    leaves = [v for v in range(t) if degree[v] == 1]
-    heapq.heapify(leaves)
-    for v in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, v))
-        degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(leaves, v)
-    u = heapq.heappop(leaves)
-    w = heapq.heappop(leaves)
-    edges.append((u, w))
-    return Graph.from_edges(t, edges)
-
-
 # -- proof-guided spider embedding ----------------------------------------
 
 
@@ -425,7 +374,7 @@ class SpiderTrace:
     notes: list = field(default_factory=list)
 
 
-def proof_guided_spider_embed(g, spider, k, eps=1e-9, budget=DEFAULT_BUDGET):
+def proof_guided_spider_embed(g, spider, k, budget=DEFAULT_BUDGET):
     """Constructive spider embedding replaying the extremal argument.
 
     Requires a spider of order 2k+3 with at least 3 odd legs and
@@ -465,9 +414,9 @@ def proof_guided_spider_embed(g, spider, k, eps=1e-9, budget=DEFAULT_BUDGET):
     du = g.degree(u)
 
     if du <= math.log2(max(g.n, 2)):
-        emb = _case_low_degree(g, u, k, spider, pat, trace)
+        emb = _case_low_degree(g, u, k, pat, trace)
     else:
-        emb = _case_high_degree(g, u, k, spider, pat, best, trace, budget)
+        emb = _case_high_degree(g, u, k, spider, best, trace, budget)
     if emb is not None and is_valid_embedding(g, pat, emb):
         return emb, trace
     if emb is not None:
@@ -484,17 +433,7 @@ def _finish_fallback(g, pat, trace, budget):
     return emb, trace
 
 
-def _spider_leg_slots(spider):
-    """Pattern vertex ids per leg for the deterministic spider layout."""
-    slots = []
-    nxt = 1
-    for t in spider.legs:
-        slots.append(list(range(nxt, nxt + t)))
-        nxt += t
-    return slots
-
-
-def _case_low_degree(g, u, k, spider, pat, trace):
+def _case_low_degree(g, u, k, pat, trace):
     """Complete-bipartite route: k common neighbors over a chunk of the
     second neighborhood."""
     trace.branch = "case1_bipartite"
@@ -538,8 +477,12 @@ def _spider_bipartition(pat):
     return (a, b) if len(a) <= len(b) else (b, a)
 
 
-def _case_high_degree(g, u, k, spider, pat, wsum, trace, budget):
-    """Linear-forest route inside L_u or inside G[N1(u)]."""
+def _case_high_degree(g, u, k, spider, wsum, trace, budget):
+    """Linear-forest route inside L_u or inside G[N1(u)].
+
+    The legs, unit legs included, are one linear forest whose paths start
+    in N1(u), so each path hangs off u as a leg of the spider centred there.
+    """
     shells = g.bfs_shells(u)
     n1m = shells[0] if shells else 0
     n2m = shells[1] if len(shells) > 1 else 0
@@ -547,63 +490,26 @@ def _case_high_degree(g, u, k, spider, pat, wsum, trace, budget):
     threshold = (
         k * g.degree(u) + (2 * k - 2) * n2m.bit_count() - k * (g.n - k)
     )
-    long_legs = [(i, t) for i, t in enumerate(spider.legs) if t >= 2]
-    lengths = [t for _, t in long_legs]
-
     if e_cross > threshold:
         trace.branch = "case2_subcase1_Lu"
-        l_graph = wsum.l_graph
-        inv = list(wsum.l_vertices)
-        anchor = [i for i, v in enumerate(inv) if n1m >> v & 1]
-        try:
-            forest = (
-                find_linear_forest(l_graph, lengths, anchor_set=anchor, budget=budget)
-                if lengths
-                else []
-            )
-        except BudgetExceededError:
-            trace.notes.append("linear-forest budget exhausted in L_u")
-            return None
-        if forest is None:
-            trace.notes.append("no anchored linear forest in L_u")
-            return None
-        host_paths = []
-        for path in forest:
-            hp = [inv[i] for i in path]
-            # orient so the N1(u) end attaches to the center
-            if not n1m >> hp[0] & 1:
-                hp.reverse()
-            host_paths.append(hp)
+        where = "L_u"
+        local, verts = wsum.l_graph, wsum.l_vertices
+        anchor = [i for i, v in enumerate(verts) if n1m >> v & 1]
     else:
         trace.branch = "case2_subcase2_N1"
-        sub, verts = g.subgraph(bits(n1m))
-        try:
-            forest = (
-                find_linear_forest(sub, lengths, budget=budget) if lengths else []
-            )
-        except BudgetExceededError:
-            trace.notes.append("linear-forest budget exhausted in G[N1(u)]")
-            return None
-        if forest is None:
-            trace.notes.append("no linear forest in G[N1(u)]")
-            return None
-        host_paths = [[verts[i] for i in path] for path in forest]
-
-    used = {u}
-    for hp in host_paths:
-        used.update(hp)
-    spare = [v for v in bits(n1m) if v not in used]
-    unit_legs = [i for i, t in enumerate(spider.legs) if t == 1]
-    if len(spare) < len(unit_legs):
-        trace.notes.append("not enough spare first-shell vertices for unit legs")
+        where = "G[N1(u)]"
+        local, verts = g.subgraph(bits(n1m))
+        anchor = None
+    try:
+        forest = find_linear_forest(local, spider.legs, anchor, budget=budget)
+    except BudgetExceededError:
+        trace.notes.append(f"linear-forest budget exhausted in {where}")
         return None
-
-    slots = _spider_leg_slots(spider)
-    assignment = [0] * pat.n
-    assignment[0] = u
-    for (leg_i, _), hp in zip(long_legs, host_paths):
-        for slot, hv in zip(slots[leg_i], hp):
-            assignment[slot] = hv
-    for leg_i, hv in zip(unit_legs, spare):
-        assignment[slots[leg_i][0]] = hv
+    if forest is None:
+        trace.notes.append(f"no linear forest in {where}")
+        return None
+    # the spider layout: centre 0, then each leg from the centre outwards
+    assignment = [u]
+    for path in forest:
+        assignment += [verts[i] for i in path]
     return Embedding(tuple(assignment))

@@ -1,0 +1,62 @@
+"""Independent test oracles: brute-force searches that share no code with
+the production search paths."""
+
+from itertools import permutations
+
+from spectree.embed import Embedding, as_graph
+from spectree.graphs import Graph
+
+
+def brute_force_contains(host, pattern):
+    """Permutation-oracle containment test (small instances only)."""
+    from itertools import permutations
+
+    pat = as_graph(pattern)
+    if pat.n > host.n:
+        return None
+    pedges = pat.edges()
+    for perm in permutations(range(host.n), pat.n):
+        if all(host.has_edge(perm[u], perm[v]) for u, v in pedges):
+            return Embedding(tuple(perm))
+    return None
+
+
+def labeled_tree_from_pruefer(seq, t):
+    """Labeled tree on t vertices from a Pruefer sequence (len t-2)."""
+    degree = [1] * t
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    import heapq
+
+    leaves = [v for v in range(t) if degree[v] == 1]
+    heapq.heapify(leaves)
+    for v in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((leaf, v))
+        degree[v] -= 1
+        if degree[v] == 1:
+            heapq.heappush(leaves, v)
+    u = heapq.heappop(leaves)
+    w = heapq.heappop(leaves)
+    edges.append((u, w))
+    return Graph.from_edges(t, edges)
+
+
+def brute_force_linear_forest(host, lengths, anchor_set=None):
+    """Whether vertex-disjoint paths of the given vertex counts exist, each
+    with an end-vertex in anchor_set when it is given.  Tries every ordered
+    choice of sum(lengths) host vertices, cut into consecutive paths."""
+    anchors = set(range(host.n) if anchor_set is None else anchor_set)
+    for perm in permutations(range(host.n), sum(lengths)):
+        start = 0
+        for t in lengths:
+            path = perm[start : start + t]
+            start += t
+            if path[0] not in anchors and path[-1] not in anchors:
+                break
+            if not all(host.has_edge(a, b) for a, b in zip(path, path[1:])):
+                break
+        else:
+            return True
+    return False

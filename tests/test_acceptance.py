@@ -38,10 +38,8 @@ from spectree.spectral import (
 )
 from spectree.embed import (
     all_trees_of_order,
-    brute_force_contains,
     contains_tree,
     is_valid_embedding,
-    labeled_tree_from_pruefer,
     longest_path_stats,
 )
 from spectree.turan import edge_threshold_S_plus, three_leg_spiders
@@ -53,6 +51,7 @@ from spectree.harness import (
     report_to_json,
     run_campaign,
 )
+from oracles import brute_force_contains, labeled_tree_from_pruefer
 
 GRID = [(n, k) for k in range(1, 6) for n in range(k + 2, 61)]
 

@@ -21,20 +21,24 @@ from spectree.graphs import (
     Star,
     build_family,
     canonical_key,
+    decode_graph6,
     empty_graph,
 )
 from spectree.embed import (
     all_trees_of_order,
-    brute_force_contains,
     contains_tree,
     find_linear_forest,
     fits_in_S,
     is_tree,
     is_valid_embedding,
-    labeled_tree_from_pruefer,
     longest_path_stats,
     min_vertex_cover_tree,
     proof_guided_spider_embed,
+)
+from oracles import (
+    brute_force_contains,
+    brute_force_linear_forest,
+    labeled_tree_from_pruefer,
 )
 
 
@@ -180,6 +184,44 @@ class TestLinearForest:
         with pytest.raises(ParameterError):
             find_linear_forest(build_family(Path(4)), [3], anchor_set=[9])
 
+    @staticmethod
+    def assert_forest(host, lengths, anchor_set, forest):
+        assert [len(p) for p in forest] == list(lengths)
+        used = [v for p in forest for v in p]
+        assert len(set(used)) == len(used)
+        for path in forest:
+            assert all(host.has_edge(a, b) for a, b in zip(path, path[1:]))
+            # every path is listed from its anchored end
+            assert anchor_set is None or path[0] in anchor_set
+
+    def test_anchor_and_twin_differ(self):
+        # 1 and 2 are twins in the host but only 1 is an anchor: the unit
+        # path needs it once 0-2-3 takes anchor 0
+        host = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)])
+        forest = find_linear_forest(host, [3, 1], anchor_set=[0, 1])
+        assert forest is not None
+        self.assert_forest(host, [3, 1], [0, 1], forest)
+
+    def test_oracle_sweep(self):
+        # two or three paths, three trials in four anchored to a proper
+        # subset: the mix where an anchor can have a non-anchor twin
+        rng = random.Random(2024)
+        found = 0
+        for trial in range(1200):
+            n = rng.randint(3, 7)
+            host = random_host(n, rng.uniform(0.3, 0.8), rng)
+            lengths = [rng.randint(1, 3) for _ in range(rng.randint(2, 3))]
+            anchor = None
+            if trial % 4:
+                anchor = rng.sample(range(n), rng.randint(1, n - 1))
+            forest = find_linear_forest(host, lengths, anchor)
+            expect = brute_force_linear_forest(host, lengths, anchor)
+            assert (forest is not None) == expect, (host.rows, lengths, anchor)
+            if forest is not None:
+                found += 1
+                self.assert_forest(host, lengths, anchor, forest)
+        assert 300 < found < 900  # both outcomes are well represented
+
 
 class TestLongestPath:
     def test_path_graph(self):
@@ -276,6 +318,24 @@ class TestProofGuidedSpider:
         assert out is not None
         emb, _ = out
         assert is_valid_embedding(g, build_family(Spider(1, 1, 1, 2, 3)), emb)
+
+    @pytest.mark.parametrize(
+        "host6, spider, k",
+        [
+            (r"Hv\WCH?", Spider(1, 1, 1, 3), 2),
+            ("J]rTzBKkam_", Spider(1, 1, 1, 2, 3), 3),
+        ],
+    )
+    def test_unit_legs_join_the_forest(self, host6, spider, k):
+        # the L_u route places the unit legs in its linear forest, beside
+        # the long legs, so it needs no fallback here
+        g = decode_graph6(host6)
+        out = proof_guided_spider_embed(g, spider, k)
+        assert out is not None
+        emb, trace = out
+        assert trace.branch == "case2_subcase1_Lu"
+        assert trace.notes == []
+        assert is_valid_embedding(g, build_family(spider), emb)
 
     def test_agrees_with_exact_search(self):
         rng = random.Random(31)
