@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 
 from .errors import (
@@ -265,43 +265,51 @@ class PathStats:
 
 
 def longest_path_stats(g, cap=LONGEST_PATH_CAP):
-    """Exact per-vertex longest-path lengths via bitmask DFS memoization."""
+    """Exact per-vertex longest-path lengths by a layered subset DP.
+
+    layers[i] lists the (i+1)-vertex sets that carry a spanning path, end[mask]
+    its end vertices; paths reverse, so p[v] is the last layer whose ends hold
+    v.  The witness starts at the first argmax of p and steps to the smallest
+    neighbour that begins a path of the length left."""
     if g.n > cap:
         raise CapExceededError(f"longest-path search capped at n={cap}, got {g.n}")
     if g.n == 0:
         raise ParameterError("empty graph")
     rows = g.rows
-    memo = {}
-
-    def f(last, mask):
-        key = (last, mask)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        best = 0
-        m = rows[last] & ~mask
-        while m:
-            low = m & -m
-            w = low.bit_length() - 1
-            m ^= low
-            cand = 1 + f(w, mask | low)
-            if cand > best:
-                best = cand
-        memo[key] = best
-        return best
-
-    p = tuple(f(v, 1 << v) for v in range(g.n))
+    layers = [[1 << v for v in range(g.n)]]
+    end = [0] * (1 << g.n)
+    for mask in layers[0]:
+        end[mask] = mask
+    while layers[-1]:
+        nxt = []
+        for mask in layers[-1]:
+            ends = end[mask]
+            reach = 0
+            while ends:
+                low = ends & -ends
+                reach |= rows[low.bit_length() - 1]
+                ends ^= low
+            m = reach & ~mask
+            while m:
+                low = m & -m
+                m ^= low
+                key = mask | low
+                e = end[key]
+                if not e:
+                    nxt.append(key)
+                end[key] = e | low
+        layers.append(nxt)
+    unions = [reduce(int.__or__, map(end.__getitem__, layer), 0) for layer in layers]
+    p = tuple(max(i for i, u in enumerate(unions) if u >> v & 1) for v in range(g.n))
     start = max(range(g.n), key=lambda v: p[v])
     path = [start]
     mask = 1 << start
-    remaining = p[start]
-    while remaining:
-        for w in bits(rows[path[-1]] & ~mask):
-            if f(w, mask | 1 << w) == remaining - 1:
-                path.append(w)
-                mask |= 1 << w
-                remaining -= 1
-                break
+    for remaining in range(p[start], 0, -1):
+        ends = (end[r] for r in layers[remaining - 1] if not r & mask)
+        m = rows[path[-1]] & reduce(int.__or__, ends, 0)
+        low = m & -m
+        path.append(low.bit_length() - 1)
+        mask |= low
     x = frozenset(path)
     y = frozenset(range(g.n)) - x
     s = {v: (g.rows[v] & mask).bit_count() for v in sorted(y)}
@@ -425,7 +433,9 @@ def proof_guided_spider_embed(g, spider, k, budget=DEFAULT_BUDGET):
 
 
 def _finish_fallback(g, pat, trace, budget):
-    trace.branch = trace.branch or "fallback"
+    if trace.branch:
+        trace.notes.append(f"route {trace.branch} failed")
+    trace.branch = "fallback"
     trace.notes.append("exact fallback search")
     emb = contains_tree(g, pat, budget=budget)
     if emb is None:

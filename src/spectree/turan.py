@@ -7,9 +7,17 @@ harness treats those as advisory at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import HypothesisViolationError, ParameterError
-from .graphs import Broom, Path, Spider, encode_graph6, is_complete_split_plus
+from .graphs import (
+    Broom,
+    Path,
+    Spider,
+    build_family,
+    encode_graph6,
+    is_complete_split_plus,
+)
 from .embed import contains_tree, longest_path_stats
 
 
@@ -77,6 +85,12 @@ def three_leg_spiders(t):
     return sorted(set(out), key=lambda s: s.legs)
 
 
+@lru_cache(maxsize=16)
+def _spider_graphs(t):
+    """(legs, graph) of each of three_leg_spiders(t), in that order."""
+    return tuple((sp.legs, build_family(sp)) for sp in three_leg_spiders(t))
+
+
 def check_lemma(g, lemma, k=None, t=None):
     """Verdict of one lemma/theorem instance on a concrete graph.
 
@@ -111,9 +125,9 @@ def check_lemma(g, lemma, k=None, t=None):
         hyp = g.e > (t - 2) * g.n / 2
         missing = []
         if hyp:
-            for sp in three_leg_spiders(t):
+            for legs, sp in _spider_graphs(t):
                 if contains_tree(g, sp) is None:
-                    missing.append(sp.legs)
+                    missing.append(legs)
         concl = hyp and not missing
         return LemmaVerdict(
             lemma, key, hyp, concl, hyp and not concl, False, {"missing": missing}

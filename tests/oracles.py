@@ -60,3 +60,21 @@ def brute_force_linear_forest(host, lengths, anchor_set=None):
         else:
             return True
     return False
+
+
+def brute_force_longest_paths(g):
+    """p[v] = edge count of a longest simple path starting at v, found by
+    plain DFS over every simple path (small graphs only)."""
+    best = [0] * g.n
+
+    def extend(path):
+        best[path[0]] = max(best[path[0]], len(path) - 1)
+        for w in range(g.n):
+            if w not in path and g.has_edge(path[-1], w):
+                path.append(w)
+                extend(path)
+                path.pop()
+
+    for v in range(g.n):
+        extend([v])
+    return tuple(best)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -24,6 +25,7 @@ from spectree.graphs import (
     decode_graph6,
     empty_graph,
 )
+from spectree.enumeration import all_graphs
 from spectree.embed import (
     all_trees_of_order,
     contains_tree,
@@ -38,6 +40,7 @@ from spectree.embed import (
 from oracles import (
     brute_force_contains,
     brute_force_linear_forest,
+    brute_force_longest_paths,
     labeled_tree_from_pruefer,
 )
 
@@ -258,6 +261,44 @@ class TestLongestPath:
         with pytest.raises(CapExceededError):
             longest_path_stats(empty_graph(21))
 
+    def test_against_path_oracle(self):
+        for n in range(1, 8):
+            for g in all_graphs(n):
+                stats = longest_path_stats(g)
+                p = brute_force_longest_paths(g)
+                assert stats.p == p
+                assert stats.longest_order == max(p) + 1
+                w = stats.witness
+                assert len(set(w)) == len(w) == stats.longest_order
+                assert all(g.has_edge(a, b) for a, b in zip(w, w[1:]))
+                assert p[w[0]] == stats.longest_order - 1
+                assert stats.x == set(w)
+                assert stats.y == set(range(n)) - set(w)
+                assert stats.s == {
+                    v: sum(g.has_edge(v, x) for x in w) for v in sorted(stats.y)
+                }
+
+    def test_pinned_witness_order(self):
+        # the witness starts at the first argmax of p and steps to the
+        # smallest neighbour that still begins a path of the length left;
+        # sha256 of the "p witness" lines over all_graphs(n), n <= 7
+        digest = hashlib.sha256()
+        for n in range(1, 8):
+            for g in all_graphs(n):
+                stats = longest_path_stats(g)
+                digest.update(f"{stats.p} {stats.witness}\n".encode())
+        assert digest.hexdigest() == (
+            "6ecfa6de5f52f005539310b6b9f3400f0a591c3c834501235995f813da1d2e5b"
+        )
+
+    def test_at_the_cap(self):
+        g = random_host(20, 0.3, random.Random(2020))
+        stats = longest_path_stats(g)
+        w = stats.witness
+        assert len(set(w)) == len(w) == stats.longest_order == max(stats.p) + 1
+        assert all(g.has_edge(a, b) for a, b in zip(w, w[1:]))
+        assert stats.p[w[0]] == stats.longest_order - 1
+
 
 class TestTreeGeneration:
     def test_counts(self):
@@ -335,6 +376,20 @@ class TestProofGuidedSpider:
         emb, trace = out
         assert trace.branch == "case2_subcase1_Lu"
         assert trace.notes == []
+        assert is_valid_embedding(g, build_family(spider), emb)
+
+    def test_fallback_trace_is_labelled_fallback(self):
+        # the N1(u) route finds no linear forest, so the exact search
+        # produces the embedding and the trace must say so
+        g = decode_graph6(r"Hx\R~Im")
+        spider = Spider(1, 1, 1, 2, 3)
+        emb, trace = proof_guided_spider_embed(g, spider, 3)
+        assert trace.branch == "fallback"
+        assert trace.notes == [
+            "no linear forest in G[N1(u)]",
+            "route case2_subcase2_N1 failed",
+            "exact fallback search",
+        ]
         assert is_valid_embedding(g, build_family(spider), emb)
 
     def test_agrees_with_exact_search(self):
