@@ -74,6 +74,8 @@ class _Budget:
 def contains_tree(host, pattern, budget=DEFAULT_BUDGET):
     """Exact tree-subgraph search.  Returns an Embedding or None.
 
+    The positive-only split certificate is tried first, for one budget unit;
+    the search runs when it fails, so every None comes from the search.
     Raises BudgetExceededError when the visit budget runs out, which is a
     distinct outcome from "not contained".
     """
@@ -81,7 +83,12 @@ def contains_tree(host, pattern, budget=DEFAULT_BUDGET):
     order, parents, pat_deg = _pattern_order(pat)
     if pat.n > host.n:
         return None
-    image = _embed_tree(host, parents, pat_deg, _Budget(budget))
+    left = _Budget(budget)
+    left.spend()
+    emb = _certificate(host, pat)
+    if emb is not None:
+        return emb
+    image = _embed_tree(host, parents, pat_deg, left)
     if image is None:
         return None
     assignment = [0] * pat.n
@@ -162,41 +169,93 @@ def _embed_tree(host, parents, pat_deg, budget, roots=None):
     return image if rec(0, 0) else None
 
 
-# -- vertex-cover test ----------------------------------------------------
+# -- split profile and certificate ------------------------------------------
+
+
+def _least(*fronts):
+    """Pointwise least m of fronts c -> (m, mask of C); the first on ties."""
+    out = {}
+    for front in fronts:
+        for c, entry in front.items():
+            if c not in out or entry[0] < out[c][0]:
+                out[c] = entry
+    return out
+
+
+def _join(f, g):
+    """Min-plus convolution of two fronts over disjoint vertex sets."""
+    return _least(*({c + d: (m + k, a | b)} for c, (m, a) in f.items()
+                    for d, (k, b) in g.items()))
+
+
+@lru_cache(maxsize=1024)
+def _split_profile(pat):
+    """Pareto front (c, m, C, rest) of the tree over the vertex sets C with
+    pat - C a matching plus isolated vertices: c = |C| rising, m the fewest
+    matching edges, falling to 0 at the minimum vertex cover; rest is V - C,
+    the m matched pairs first.  Leaf-to-root DP over fronts c -> (m, mask of
+    C) for three states: in C, unmatched, matched to a child."""
+    order, parents, _ = _pattern_order(pat)
+    cut = [{1: (0, 1 << v)} for v in order]
+    free, pair = [{0: (0, 0)}] * pat.n, [{}] * pat.n
+    for j in range(pat.n - 1, 0, -1):
+        p = parents[j]
+        up = _join(free[j], {0: (1, 0)})  # j matched to p: one more edge
+        cut[p] = _join(cut[p], _least(cut[j], free[j], pair[j]))
+        pair[p] = _least(_join(pair[p], cut[j]), _join(free[p], up))
+        free[p] = _join(free[p], cut[j])
+    front = []
+    for c, (m, cover) in sorted(_least(cut[0], free[0], pair[0]).items()):
+        if not front or m < front[-1][1]:
+            rest = [v for e in pat.edges() if not (1 << e[0] | 1 << e[1]) & cover for v in e]
+            rest += bits((1 << pat.n) - 1 & ~cover & ~sum(1 << v for v in rest))
+            front.append((c, m, tuple(bits(cover)), tuple(rest)))
+    return tuple(front)
+
+
+@lru_cache(maxsize=16)
+def _host_split(host, c):
+    """(X, Y, |M|), or None unless X is a clique: X the c highest-degree
+    vertices (ties to the lower id), Y their common neighbourhood with the
+    pairs of a greedy matching M in G[Y] first."""
+    xs = tuple(sorted(range(host.n), key=host.degrees().__getitem__, reverse=True)[:c])
+    xmask = sum(1 << x for x in xs)
+    common = reduce(int.__and__, (host.rows[x] | 1 << x for x in xs), (1 << host.n) - 1)
+    if xmask & ~common:
+        return None
+    free, matched = common ^ xmask, []
+    for y in bits(free):
+        nb = host.rows[y] & free
+        if free >> y & 1 and nb:
+            z = (nb & -nb).bit_length() - 1
+            free ^= 1 << y | 1 << z
+            matched += (y, z)
+    return xs, tuple(matched + bits(free)), len(matched) // 2
+
+
+def _certificate(host, pat):
+    """Embedding of the tree pat (pat.n <= host.n) read off the split
+    structure, or None.  For a profile entry (c, m, C, rest) with |M| >= m
+    and |Y| >= |rest|, C goes into the clique X and rest into Y, its pairs
+    onto M; all of Y is adjacent to all of X, so no search is needed."""
+    for c, m, cover, rest in _split_profile(pat):
+        split = _host_split(host, c)
+        if split is None:
+            return None  # the top c + 1 vertices contain the top c
+        xs, ys, size = split
+        if size >= m and len(ys) >= len(rest):
+            return Embedding(tuple(h for _, h in sorted(zip(cover + rest, xs + ys))))
+    return None
 
 
 def min_vertex_cover_tree(g):
-    """Minimum vertex cover size of a tree (or forest) by leaf-to-root DP."""
-    total = 0
-    seen = set()
-    for v in range(g.n):
-        if v in seen:
-            continue
-        # iterative post-order over the component rooted at v
-        order = []
-        parent = {v: None}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            order.append(x)
-            for w in g.neighbors(x):
-                if w not in parent:
-                    parent[w] = x
-                    stack.append(w)
-        seen.update(order)
-        incl = {}
-        excl = {}
-        for x in reversed(order):
-            ch = [w for w in g.neighbors(x) if parent.get(w) == x]
-            incl[x] = 1 + sum(min(incl[w], excl[w]) for w in ch)
-            excl[x] = sum(incl[w] for w in ch)
-        total += min(incl[v], excl[v])
-    return total
+    """Minimum vertex cover size of a tree: the m = 0 end of its profile."""
+    return _split_profile(g)[-1][0]
 
 
 def fits_in_S(tree, k):
     """Whether the tree embeds in S_{n,k} for all large n: minimum vertex
-    cover at most k."""
+    cover, the m = 0 end of the split profile, at most k."""
     t = as_graph(tree)
     if not is_tree(t):
         raise ParameterError("pattern is not a tree")

@@ -12,6 +12,7 @@ from functools import lru_cache
 from .errors import HypothesisViolationError, ParameterError
 from .graphs import (
     Broom,
+    Graph,
     Path,
     Spider,
     build_family,
@@ -32,12 +33,17 @@ class TuranBound:
 @dataclass(frozen=True)
 class LemmaVerdict:
     lemma: str
-    graph_key: str
+    graph: Graph
     hypothesis_holds: bool
     conclusion_holds: bool
     violation: bool
     asymptotic: bool
     details: dict = field(default_factory=dict, compare=False)
+
+    @property
+    def graph_key(self):
+        """graph6 text of the graph, encoded when read."""
+        return encode_graph6(self.graph)
 
 
 def bound_path(n, t):
@@ -103,12 +109,11 @@ def check_lemma(g, lemma, k=None, t=None):
       - "broom_turan" (needs k): edge threshold forces B_{2,2k+1} in
         connected G (asymptotic)
     """
-    key = encode_graph6(g)
     if lemma == "sum_longest_path":
         stats = longest_path_stats(g)
         concl = g.e <= sum(stats.p) / 2
         return LemmaVerdict(
-            lemma, key, True, concl, not concl, False, {"p_sum": sum(stats.p)}
+            lemma, g, True, concl, not concl, False, {"p_sum": sum(stats.p)}
         )
     if lemma == "path_turan":
         if k is None:
@@ -118,7 +123,7 @@ def check_lemma(g, lemma, k=None, t=None):
         hyp = g.e >= edge_threshold_S_plus(g.n, k) if g.n >= k + 2 else False
         hyp = hyp and not is_complete_split_plus(g, k)
         concl = contains_tree(g, Path(2 * k + 3)) is not None if hyp else False
-        return LemmaVerdict(lemma, key, hyp, concl, hyp and not concl, True)
+        return LemmaVerdict(lemma, g, hyp, concl, hyp and not concl, True)
     if lemma == "spider3_erdos_sos":
         if t is None:
             raise ParameterError("spider3_erdos_sos requires t")
@@ -130,7 +135,7 @@ def check_lemma(g, lemma, k=None, t=None):
                     missing.append(legs)
         concl = hyp and not missing
         return LemmaVerdict(
-            lemma, key, hyp, concl, hyp and not concl, False, {"missing": missing}
+            lemma, g, hyp, concl, hyp and not concl, False, {"missing": missing}
         )
     if lemma == "broom_turan":
         if k is None:
@@ -141,5 +146,5 @@ def check_lemma(g, lemma, k=None, t=None):
         concl = (
             contains_tree(g, Broom(2, 2 * k + 1)) is not None if hyp else False
         )
-        return LemmaVerdict(lemma, key, hyp, concl, hyp and not concl, True)
+        return LemmaVerdict(lemma, g, hyp, concl, hyp and not concl, True)
     raise ParameterError(f"unknown lemma id {lemma!r}")

@@ -1,7 +1,7 @@
 """Independent test oracles: brute-force searches that share no code with
 the production search paths."""
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 from spectree.embed import Embedding, as_graph
 from spectree.graphs import Graph
@@ -78,3 +78,18 @@ def brute_force_longest_paths(g):
     for v in range(g.n):
         extend([v])
     return tuple(best)
+
+
+def brute_force_split_profile(tree):
+    """{c: m} over every vertex set C of size c whose removal leaves the
+    tree with maximum degree at most 1: m is the fewest edges left.  Tries
+    all 2^n subsets (small trees only)."""
+    edges = tree.edges()
+    best = {}
+    for c in range(tree.n + 1):
+        for cover in combinations(range(tree.n), c):
+            left = [(u, v) for u, v in edges if u not in cover and v not in cover]
+            ends = [x for e in left for x in e]
+            if len(ends) == len(set(ends)):
+                best[c] = min(best.get(c, len(left)), len(left))
+    return best

@@ -25,8 +25,12 @@ from spectree.graphs import (
     decode_graph6,
     empty_graph,
 )
-from spectree.enumeration import all_graphs
+from spectree import embed, harness
+from spectree.enumeration import all_graphs, perturb_extremal
+from spectree.harness import CampaignSpec, Source, run_campaign
 from spectree.embed import (
+    _certificate,
+    _split_profile,
     all_trees_of_order,
     contains_tree,
     find_linear_forest,
@@ -41,6 +45,7 @@ from oracles import (
     brute_force_contains,
     brute_force_linear_forest,
     brute_force_longest_paths,
+    brute_force_split_profile,
     labeled_tree_from_pruefer,
 )
 
@@ -155,6 +160,86 @@ class TestVertexCover:
             host = build_family(CompleteSplit(n, k))
             for tree in all_trees_of_order(2 * k + 2):
                 assert fits_in_S(tree, k) == (contains_tree(host, tree) is not None)
+
+
+def near_split_hosts():
+    """S_{n,k} and S+_{n,k} for n <= 8, k in {2, 3}, two perturbations of
+    each, and ten seeded random graphs."""
+    hosts = []
+    for k in (2, 3):
+        for n in range(k + 2, 9):
+            for base in (CompleteSplit(n, k), CompleteSplitPlus(n, k)):
+                hosts.append(build_family(base))
+                hosts += [perturb_extremal(base, 1, 1, seed) for seed in (0, 1)]
+    rng = random.Random(77)
+    hosts += [random_host(rng.randint(5, 8), rng.uniform(0.3, 0.9), rng) for _ in range(10)]
+    return hosts
+
+
+class TestSplitCertificate:
+    def test_profile_against_oracle(self):
+        for t in range(2, 11):
+            for tree in all_trees_of_order(t):
+                best = brute_force_split_profile(tree)
+                expect = []
+                for c in sorted(best):
+                    if not expect or best[c] < expect[-1][1]:
+                        expect.append((c, best[c]))
+                front = _split_profile(tree)
+                assert [(c, m) for c, m, _, _ in front] == expect
+                for c, m, cover, rest in front:
+                    # C and the leading m pairs of rest realise (c, m)
+                    assert len(cover) == c and sorted(cover + rest) == list(range(t))
+                    left = {frozenset(e) for e in tree.edges() if not set(e) & set(cover)}
+                    assert left == {frozenset(rest[2 * i : 2 * i + 2]) for i in range(m)}
+                cover_size = min(c for c, m in best.items() if m == 0)
+                assert front[-1][:2] == (cover_size, 0)
+                assert min_vertex_cover_tree(tree) == cover_size
+
+    def test_sweep_near_split_hosts(self):
+        trees = [tree for t in range(4, 8) for tree in all_trees_of_order(t)]
+        fired = tried = 0
+        for host in near_split_hosts():
+            for tree in trees:
+                if tree.n > host.n:
+                    continue
+                tried += 1
+                cert = _certificate(host, tree)
+                if cert is not None:
+                    fired += 1
+                    assert is_valid_embedding(host, tree, cert)
+                got = contains_tree(host, tree)
+                assert (got is None) == (brute_force_contains(host, tree) is None)
+                assert got is None or is_valid_embedding(host, tree, got)
+        assert 0 < fired < tried
+
+    def test_certified_trees_need_one_budget_unit(self):
+        # every tree with (c, m) <= (3, 1) lies in S+_{40,3}: C into the three
+        # hubs, the matching edge onto the extra edge; no search is needed
+        host = build_family(CompleteSplitPlus(40, 3))
+        trees = [t for t in all_trees_of_order(9) if brute_force_split_profile(t)[3] <= 1]
+        assert len(trees) > 40
+        for tree in trees:
+            emb = contains_tree(host, tree, budget=1)
+            assert emb is not None and is_valid_embedding(host, tree, emb)
+
+    def test_perturbation_campaign_rarely_searches(self, monkeypatch):
+        counts = {"contains": 0, "search": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(harness, "contains_tree", counted("contains", contains_tree))
+        monkeypatch.setattr(embed, "_embed_tree", counted("search", embed._embed_tree))
+        base = CompleteSplitPlus(24, 3)
+        source = Source("perturbation", count=6, seed=1, base=base, radius=2)
+        run_campaign(CampaignSpec("conjecture_b", 3, 24, 26, source))
+        assert counts["contains"] > 0
+        assert counts["search"] <= 0.02 * counts["contains"]
 
 
 class TestLinearForest:
