@@ -14,6 +14,7 @@ from .graphs import (
     canonical_key,
     decode_graph6,
     encode_graph6,
+    twin_classes,
 )
 
 EXHAUSTIVE_CAP = 8
@@ -28,7 +29,9 @@ def _representatives(n):
     sorted by canonical graph6 string.  Built by vertex augmentation that
     keeps only children whose new vertex has maximum degree: deleting a
     maximum-degree vertex of any graph on n vertices leaves a parent in the
-    n - 1 list, so every class is still reached."""
+    n - 1 list, so every class is still reached.  Twins of the parent are
+    interchangeable, so in each twin class the new vertex is joined only to
+    a prefix of the class."""
     if n in _cache:
         return _cache[n]
     if n == 1:
@@ -40,7 +43,13 @@ def _representatives(n):
             degrees = base.degrees()
             top = max(degrees)
             top_mask = sum(1 << v for v, d in enumerate(degrees) if d == top)
-            for mask in range(1 << (n - 1)):
+            masks = [0]
+            for cls in twin_classes(base.rows, range(n - 1)):
+                prefixes = [0]
+                for v in cls:
+                    prefixes.append(prefixes[-1] | 1 << v)
+                masks = [m | p for m in masks for p in prefixes]
+            for mask in masks:
                 d = mask.bit_count()
                 # the new vertex has degree d; a neighbour of degree top
                 # would reach top + 1

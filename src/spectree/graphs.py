@@ -382,18 +382,18 @@ def neighborhood_shells(g, u):
 # -- graph6 ----------------------------------------------------------------
 
 
+def _graph6_order(n):
+    """The graph6 order field (standard long forms above n=62)."""
+    if n <= 62:
+        return chr(63 + n)
+    shifts = (12, 6, 0) if n <= 258047 else (30, 24, 18, 12, 6, 0)
+    return "~" * (len(shifts) // 3) + "".join(chr(63 + (n >> s & 63)) for s in shifts)
+
+
 def encode_graph6(g):
     """Byte-exact graph6 encoding (standard long forms above n=62)."""
     n = g.n
-    out = []
-    if n <= 62:
-        out.append(chr(63 + n))
-    elif n <= 258047:
-        out.append(chr(126))
-        out.extend(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
-    else:
-        out.append(chr(126) + chr(126))
-        out.extend(chr(63 + (n >> s & 63)) for s in (30, 24, 18, 12, 6, 0))
+    out = [_graph6_order(n)]
     acc = 0
     nbits = 0
     for j in range(1, n):
@@ -408,6 +408,9 @@ def encode_graph6(g):
     if nbits:
         out.append(chr(63 + (acc << (6 - nbits))))
     return "".join(out)
+
+
+_SIX_BITS = {63 + c: format(c, "06b") for c in range(64)}
 
 
 def decode_graph6(text):
@@ -447,17 +450,19 @@ def decode_graph6(text):
         )
     if len(data) - pos > (need + 5) // 6:
         raise Graph6Error("trailing bytes after adjacency bits", pos + (need + 5) // 6)
+    acc = int("0" + s[pos:].translate(_SIX_BITS), 2)
+    shift = 6 * (len(data) - pos)
     rows = [0] * n
-    e = 0
-    bit = 0
     for j in range(1, n):
-        for i in range(j):
-            chunk = data[pos + bit // 6]
-            if chunk >> (5 - bit % 6) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-                e += 1
-            bit += 1
+        shift -= j
+        field = acc >> shift & ((1 << j) - 1)
+        while field:  # bit j - 1 - i of column j is the pair (i, j)
+            low = field & -field
+            i = j - low.bit_length()
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+            field ^= low
+    e = sum(r.bit_count() for r in rows) // 2
     return Graph(n, tuple(rows), e)
 
 
@@ -487,22 +492,41 @@ def parse_edge_list(text):
 # -- canonical form --------------------------------------------------------
 
 CANONICAL_CAP = 10
+_BITS = [tuple(bits(m)) for m in range(1 << CANONICAL_CAP)]
+
+
+def twin_classes(rows, vertices):
+    """Split `vertices` into classes of twins, each in input order: u and v
+    are twins iff N(u) - {v} == N(v) - {u}, and swapping them is then an
+    automorphism."""
+    classes = []
+    for v in vertices:
+        rv = rows[v]
+        for cls in classes:
+            u = cls[0]
+            if (rows[u] ^ rv) & ~(1 << u | 1 << v) == 0:
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    return classes
 
 
 def _refine_colors(g):
     """Stable 1-WL coloring.  Returns per-vertex integer color ranks whose
-    sorted order is isomorphism-invariant."""
+    sorted order is isomorphism-invariant.  A signature is a vertex's color
+    followed by its neighbours' colors in ascending order."""
+    nbrs = [_BITS[r] if r < len(_BITS) else bits(r) for r in g.rows]
     colors = g.degrees()
+    k = len(set(colors))
     while True:
-        sigs = [
-            (colors[v], tuple(sorted(colors[w] for w in g.neighbors(v))))
-            for v in range(g.n)
-        ]
+        get = colors.__getitem__
+        sigs = [(c, *sorted(map(get, nb))) for c, nb in zip(colors, nbrs)]
         ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [ranks[s] for s in sigs]
-        if len(set(new)) == len(set(colors)):
-            return new
-        colors = new
+        colors = [ranks[s] for s in sigs]
+        if len(ranks) == k or len(ranks) == g.n:
+            return colors
+        k = len(ranks)
 
 
 def canonical_key(g, cap=CANONICAL_CAP):
@@ -524,7 +548,7 @@ def canonical_key(g, cap=CANONICAL_CAP):
 
     n = g.n
     rows = g.rows
-    best = None  # list of column codes (ints), one per position 1..n-1
+    best = None  # list of column codes (ints), one per position 0..n-1
     seq = []
 
     def rec(bi, remaining, tight):
@@ -535,14 +559,11 @@ def canonical_key(g, cap=CANONICAL_CAP):
             return
         block = blocks[bi] if remaining is None else remaining
         pos = len(seq)
-        for idx, v in enumerate(block):
+        # one vertex per twin class: swapping twins is an automorphism that
+        # fixes the placed prefix, so the others give the same codes
+        for cls in twin_classes(rows, block) if len(block) > 1 else (block,):
+            v = cls[0]
             rv = rows[v]
-            # an earlier twin u of v gives the same codes: swapping u and v
-            # is an automorphism that fixes the placed prefix
-            if idx and any(
-                (rows[u] ^ rv) & ~(1 << u | 1 << v) == 0 for u in block[:idx]
-            ):
-                continue
             col = 0
             for i in range(pos):
                 col = col << 1 | (rv >> seq[i] & 1)
@@ -555,7 +576,7 @@ def canonical_key(g, cap=CANONICAL_CAP):
                     t = False
             seq.append(v)
             cols.append(col)
-            rest = block[:idx] + block[idx + 1 :]
+            rest = [u for u in block if u != v]
             if rest:
                 rec(bi, rest, t)
             else:
@@ -566,17 +587,15 @@ def canonical_key(g, cap=CANONICAL_CAP):
     cols = []
     # first position: column code is empty, so recursion handles ordering
     rec(0, None, True)
-    # rebuild the canonically labeled graph from the column codes
-    rows2 = [0] * n
-    e = 0
+    # the graph6 body is the column codes back to back, padded to 6 bits
+    acc = 0
     for j in range(1, n):
-        col = best[j]
-        for i in range(j):
-            if col >> (j - 1 - i) & 1:
-                rows2[i] |= 1 << j
-                rows2[j] |= 1 << i
-                e += 1
-    return encode_graph6(Graph(n, tuple(rows2), e))
+        acc = acc << j | best[j]
+    nbits = n * (n - 1) // 2
+    acc <<= -nbits % 6
+    return _graph6_order(n) + "".join(
+        chr(63 + (acc >> s & 63)) for s in range(6 * (-(-nbits // 6) - 1), -1, -6)
+    )
 
 
 # -- structural isomorphism tests for the extremal families ---------------

@@ -4,7 +4,7 @@ the production search paths."""
 from itertools import combinations, permutations
 
 from spectree.embed import Embedding, as_graph
-from spectree.graphs import Graph
+from spectree.graphs import Graph, encode_graph6
 
 
 def brute_force_contains(host, pattern):
@@ -93,3 +93,64 @@ def brute_force_split_profile(tree):
             if len(ends) == len(set(ends)):
                 best[c] = min(best.get(c, len(left)), len(left))
     return best
+
+
+def frozen_canonical_key(g):
+    """The canonical form as it stood before twin pruning, kept frozen as an
+    oracle: stable 1-WL colours, then the minimum column code over every
+    colour-respecting ordering, with no symmetry pruning."""
+    if g.n <= 1:
+        return encode_graph6(g)
+    colors = g.degrees()
+    while True:
+        sigs = [
+            (colors[v], tuple(sorted(colors[w] for w in g.neighbors(v))))
+            for v in range(g.n)
+        ]
+        ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [ranks[s] for s in sigs]
+        if len(set(new)) == len(set(colors)):
+            break
+        colors = new
+    classes = {}
+    for v, c in enumerate(new):
+        classes.setdefault(c, []).append(v)
+    blocks = [classes[c] for c in sorted(classes)]
+    rows = g.rows
+    best = None
+    seq = []
+    cols = []
+
+    def rec(bi, remaining, tight):
+        nonlocal best
+        if bi == len(blocks):
+            if best is None or cols < best:
+                best = list(cols)
+            return
+        block = blocks[bi] if remaining is None else remaining
+        pos = len(seq)
+        for idx, v in enumerate(block):
+            col = 0
+            for i in range(pos):
+                col = col << 1 | (rows[v] >> seq[i] & 1)
+            t = tight
+            if t and best is not None:
+                if col > best[pos]:
+                    continue
+                if col < best[pos]:
+                    t = False
+            seq.append(v)
+            cols.append(col)
+            rest = block[:idx] + block[idx + 1 :]
+            if rest:
+                rec(bi, rest, t)
+            else:
+                rec(bi + 1, None, t)
+            seq.pop()
+            cols.pop()
+
+    rec(0, None, True)
+    edges = [
+        (i, j) for j in range(1, g.n) for i in range(j) if best[j] >> (j - 1 - i) & 1
+    ]
+    return encode_graph6(Graph.from_edges(g.n, edges))

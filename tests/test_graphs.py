@@ -30,72 +30,14 @@ from spectree.graphs import (
     parse_edge_list,
     write_edge_list,
 )
+from spectree.enumeration import _ordered_keys, all_graphs, random_graph
+
+from oracles import frozen_canonical_key
 
 
 def random_graph_raw(n, p, rng):
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)
-
-
-def frozen_canonical_key(g):
-    """The canonical form as it stood before twin pruning, kept frozen as an
-    oracle: stable 1-WL colours, then the minimum column code over every
-    colour-respecting ordering, with no symmetry pruning."""
-    if g.n <= 1:
-        return encode_graph6(g)
-    colors = g.degrees()
-    while True:
-        sigs = [
-            (colors[v], tuple(sorted(colors[w] for w in g.neighbors(v))))
-            for v in range(g.n)
-        ]
-        ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [ranks[s] for s in sigs]
-        if len(set(new)) == len(set(colors)):
-            break
-        colors = new
-    classes = {}
-    for v, c in enumerate(new):
-        classes.setdefault(c, []).append(v)
-    blocks = [classes[c] for c in sorted(classes)]
-    rows = g.rows
-    best = None
-    seq = []
-    cols = []
-
-    def rec(bi, remaining, tight):
-        nonlocal best
-        if bi == len(blocks):
-            if best is None or cols < best:
-                best = list(cols)
-            return
-        block = blocks[bi] if remaining is None else remaining
-        pos = len(seq)
-        for idx, v in enumerate(block):
-            col = 0
-            for i in range(pos):
-                col = col << 1 | (rows[v] >> seq[i] & 1)
-            t = tight
-            if t and best is not None:
-                if col > best[pos]:
-                    continue
-                if col < best[pos]:
-                    t = False
-            seq.append(v)
-            cols.append(col)
-            rest = block[:idx] + block[idx + 1 :]
-            if rest:
-                rec(bi, rest, t)
-            else:
-                rec(bi + 1, None, t)
-            seq.pop()
-            cols.pop()
-
-    rec(0, None, True)
-    edges = [
-        (i, j) for j in range(1, g.n) for i in range(j) if best[j] >> (j - 1 - i) & 1
-    ]
-    return encode_graph6(Graph.from_edges(g.n, edges))
 
 
 def plant_twins(g, count, rng):
@@ -240,6 +182,21 @@ class TestGraph6:
         assert s.startswith("~")
         assert decode_graph6(s) == g
 
+    def test_roundtrip_every_key_to_n8(self):
+        for n in range(1, 9):
+            for key in _ordered_keys(n):
+                g = decode_graph6(key)
+                assert encode_graph6(g) == key
+                assert g.e == len(g.edges())
+
+    @pytest.mark.parametrize("n", [63, 300])
+    def test_long_form_roundtrip(self, n):
+        g = random_graph(n, p=0.5, seed=n)
+        s = encode_graph6(g)
+        assert s.startswith("~") and not s.startswith("~~")
+        h = decode_graph6(s)
+        assert h == g and h.e == g.e
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**15 - 1))
     def test_roundtrip_n6(self, code):
@@ -294,6 +251,11 @@ class TestCanonical:
         with pytest.raises(CapExceededError):
             canonical_key(empty_graph(11))
 
+    def test_raised_cap(self):
+        # rows of 11 vertices lie outside the neighbour table for n <= 10
+        g = build_family(Spider(1, 2, 3, 4))
+        assert canonical_key(g, cap=11) == frozen_canonical_key(g)
+
     def test_symmetric_inputs(self):
         # keys pinned from the unpruned search, which took about 40 s on
         # these four together; each has a colour block of twins
@@ -322,6 +284,24 @@ class TestCanonical:
                 }
                 g = Graph.from_edges(base, edges)
             g = plant_twins(g, rng.randint(1, 8 - base), rng)
+            assert canonical_key(g) == frozen_canonical_key(g)
+
+
+    def test_frozen_oracle_every_n7_class_relabelled(self):
+        rng = random.Random(2024)
+        for g in all_graphs(7):
+            perm = list(range(7))
+            rng.shuffle(perm)
+            h = g.relabel(perm)
+            assert canonical_key(h) == frozen_canonical_key(h)
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_frozen_oracle_sparse_n9_n10(self, n):
+        # 36 and 45 adjacency bits: a key with no padding and one with three
+        # padding bits in its last character
+        rng = random.Random(n)
+        for seed in range(200):
+            g = random_graph(n, m=rng.randint(n - 2, 2 * n), seed=seed)
             assert canonical_key(g) == frozen_canonical_key(g)
 
 
