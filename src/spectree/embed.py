@@ -323,54 +323,74 @@ class PathStats:
     s: dict  # s[v] = |N(v) & X| for v in Y
 
 
-def longest_path_stats(g, cap=LONGEST_PATH_CAP):
-    """Exact per-vertex longest-path lengths by a layered subset DP.
+@lru_cache(maxsize=None)
+def _set_patterns(n):
+    """Bitsets over the 2^n vertex sets of an n-vertex graph, bit R standing
+    for the set R: without[w] holds the sets that miss w, size[k] the sets of
+    k vertices.  Each is built by doubling a shorter pattern."""
+    without = []
+    for w in range(n):
+        pat, width = (1 << (1 << w)) - 1, 2 << w
+        while width < 1 << n:
+            pat |= pat << width
+            width <<= 1
+        without.append(pat)
+    size = [1]
+    for m in range(n):
+        size = [a | b << (1 << m) for a, b in zip(size + [0], [0] + size)]
+    return tuple(without), tuple(size)
 
-    layers[i] lists the (i+1)-vertex sets that carry a spanning path, end[mask]
-    its end vertices; paths reverse, so p[v] is the last layer whose ends hold
-    v.  The witness starts at the first argmax of p and steps to the smallest
-    neighbour that begins a path of the length left."""
+
+def longest_path_stats(g, cap=LONGEST_PATH_CAP):
+    """Exact per-vertex longest-path lengths by a layered subset DP, run on
+    big-integer bitsets over the 2^n vertex sets.
+
+    Layer i holds, for each vertex w, the bitset of (i+1)-vertex sets that
+    carry a spanning path ending at w; the next layer ORs the neighbours'
+    bitsets, keeps the sets that miss w and adds w by a shift.  Paths reverse,
+    so p[w] is the last layer in which w ends a path, and ends[w] ORs all of
+    w's layers.  The witness starts at the first argmax of p and steps to the
+    smallest neighbour that ends a path of the length left on sets that miss
+    the prefix."""
     if g.n > cap:
         raise CapExceededError(f"longest-path search capped at n={cap}, got {g.n}")
     if g.n == 0:
         raise ParameterError("empty graph")
-    rows = g.rows
-    layers = [[1 << v for v in range(g.n)]]
-    end = [0] * (1 << g.n)
-    for mask in layers[0]:
-        end[mask] = mask
-    while layers[-1]:
+    n = g.n
+    without, size = _set_patterns(n)
+    nbrs = [bits(row) for row in g.rows]
+    steps = [(w, nb, without[w], 1 << w) for w, nb in enumerate(nbrs)]
+    front = [1 << (1 << w) for w in range(n)]
+    ends = list(front)
+    p = [0] * n
+    layer = 0
+    while any(front):
+        layer += 1
         nxt = []
-        for mask in layers[-1]:
-            ends = end[mask]
+        for w, nb, miss, shift in steps:
             reach = 0
-            while ends:
-                low = ends & -ends
-                reach |= rows[low.bit_length() - 1]
-                ends ^= low
-            m = reach & ~mask
-            while m:
-                low = m & -m
-                m ^= low
-                key = mask | low
-                e = end[key]
-                if not e:
-                    nxt.append(key)
-                end[key] = e | low
-        layers.append(nxt)
-    unions = [reduce(int.__or__, map(end.__getitem__, layer), 0) for layer in layers]
-    p = tuple(max(i for i, u in enumerate(unions) if u >> v & 1) for v in range(g.n))
-    start = max(range(g.n), key=lambda v: p[v])
+            for v in nb:
+                reach |= front[v]
+            f = (reach & miss) << shift
+            nxt.append(f)
+            if f:
+                ends[w] |= f
+                p[w] = layer
+        front = nxt
+    p = tuple(p)
+    start = max(range(n), key=p.__getitem__)
     path = [start]
-    mask = 1 << start
+    avoid = without[start]
     for remaining in range(p[start], 0, -1):
-        ends = (end[r] for r in layers[remaining - 1] if not r & mask)
-        m = rows[path[-1]] & reduce(int.__or__, ends, 0)
-        low = m & -m
-        path.append(low.bit_length() - 1)
-        mask |= low
+        want = size[remaining] & avoid
+        for w in nbrs[path[-1]]:
+            if ends[w] & want:
+                break
+        path.append(w)
+        avoid &= without[w]
     x = frozenset(path)
-    y = frozenset(range(g.n)) - x
+    y = frozenset(range(n)) - x
+    mask = sum(1 << v for v in path)
     s = {v: (g.rows[v] & mask).bit_count() for v in sorted(y)}
     return PathStats(p, len(path), tuple(path), x, y, s)
 

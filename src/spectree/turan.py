@@ -104,8 +104,8 @@ def check_lemma(g, lemma, k=None, t=None):
       - "sum_longest_path": e(G) <= sum_v p_v / 2 (exact, unconditional)
       - "path_turan" (needs k): edge threshold forces P_{2k+3} for connected
         G other than S+_{n,k} (asymptotic)
-      - "spider3_erdos_sos" (needs t): e > (t-2)n/2 forces every t-vertex
-        3-leg spider (exact)
+      - "spider3_erdos_sos" (needs t >= 4, the fewest vertices of a 3-leg
+        spider): e > (t-2)n/2 forces every t-vertex 3-leg spider (exact)
       - "broom_turan" (needs k): edge threshold forces B_{2,2k+1} in
         connected G (asymptotic)
     """
@@ -127,6 +127,8 @@ def check_lemma(g, lemma, k=None, t=None):
     if lemma == "spider3_erdos_sos":
         if t is None:
             raise ParameterError("spider3_erdos_sos requires t")
+        if t < 4:
+            raise ParameterError(f"spider3_erdos_sos requires t >= 4, got t={t}")
         hyp = g.e > (t - 2) * g.n / 2
         missing = []
         if hyp:

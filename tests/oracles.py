@@ -1,9 +1,11 @@
 """Independent test oracles: brute-force searches that share no code with
 the production search paths."""
 
+from functools import reduce
 from itertools import combinations, permutations
 
-from spectree.embed import Embedding, as_graph
+from spectree.embed import LONGEST_PATH_CAP, Embedding, PathStats, as_graph
+from spectree.errors import CapExceededError, ParameterError
 from spectree.graphs import Graph, encode_graph6
 
 
@@ -154,3 +156,56 @@ def frozen_canonical_key(g):
         (i, j) for j in range(1, g.n) for i in range(j) if best[j] >> (j - 1 - i) & 1
     ]
     return encode_graph6(Graph.from_edges(g.n, edges))
+
+
+def frozen_longest_path_stats(g, cap=LONGEST_PATH_CAP):
+    """The layered subset DP of longest_path_stats as it stood before the
+    bitset rewrite, kept frozen as an oracle.
+
+    layers[i] lists the (i+1)-vertex sets that carry a spanning path, end[mask]
+    its end vertices; paths reverse, so p[v] is the last layer whose ends hold
+    v.  The witness starts at the first argmax of p and steps to the smallest
+    neighbour that begins a path of the length left."""
+    if g.n > cap:
+        raise CapExceededError(f"longest-path search capped at n={cap}, got {g.n}")
+    if g.n == 0:
+        raise ParameterError("empty graph")
+    rows = g.rows
+    layers = [[1 << v for v in range(g.n)]]
+    end = [0] * (1 << g.n)
+    for mask in layers[0]:
+        end[mask] = mask
+    while layers[-1]:
+        nxt = []
+        for mask in layers[-1]:
+            ends = end[mask]
+            reach = 0
+            while ends:
+                low = ends & -ends
+                reach |= rows[low.bit_length() - 1]
+                ends ^= low
+            m = reach & ~mask
+            while m:
+                low = m & -m
+                m ^= low
+                key = mask | low
+                e = end[key]
+                if not e:
+                    nxt.append(key)
+                end[key] = e | low
+        layers.append(nxt)
+    unions = [reduce(int.__or__, map(end.__getitem__, layer), 0) for layer in layers]
+    p = tuple(max(i for i, u in enumerate(unions) if u >> v & 1) for v in range(g.n))
+    start = max(range(g.n), key=lambda v: p[v])
+    path = [start]
+    mask = 1 << start
+    for remaining in range(p[start], 0, -1):
+        ends = (end[r] for r in layers[remaining - 1] if not r & mask)
+        m = rows[path[-1]] & reduce(int.__or__, ends, 0)
+        low = m & -m
+        path.append(low.bit_length() - 1)
+        mask |= low
+    x = frozenset(path)
+    y = frozenset(range(g.n)) - x
+    s = {v: (g.rows[v] & mask).bit_count() for v in sorted(y)}
+    return PathStats(p, len(path), tuple(path), x, y, s)

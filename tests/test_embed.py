@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,6 +47,7 @@ from oracles import (
     brute_force_linear_forest,
     brute_force_longest_paths,
     brute_force_split_profile,
+    frozen_longest_path_stats,
     labeled_tree_from_pruefer,
 )
 
@@ -376,6 +378,22 @@ class TestLongestPath:
             "6ecfa6de5f52f005539310b6b9f3400f0a591c3c834501235995f813da1d2e5b"
         )
 
+    def test_pinned_witness_order_n8(self):
+        # the same digest over all_graphs(8), the graphs of the lemma suite
+        digest = hashlib.sha256()
+        for g in all_graphs(8):
+            stats = longest_path_stats(g)
+            digest.update(f"{stats.p} {stats.witness}\n".encode())
+        assert digest.hexdigest() == (
+            "35461992afaa8434e4b7b4b06c9042c81f51e28aaf80f09ca450e2120c167bb7"
+        )
+
+    def test_frozen_oracle_random(self):
+        rng = random.Random(914)
+        for _ in range(200):
+            g = random_host(rng.randint(9, 14), rng.uniform(0.1, 0.9), rng)
+            assert longest_path_stats(g) == frozen_longest_path_stats(g)
+
     def test_at_the_cap(self):
         g = random_host(20, 0.3, random.Random(2020))
         stats = longest_path_stats(g)
@@ -383,6 +401,16 @@ class TestLongestPath:
         assert len(set(w)) == len(w) == stats.longest_order == max(stats.p) + 1
         assert all(g.has_edge(a, b) for a, b in zip(w, w[1:]))
         assert stats.p[w[0]] == stats.longest_order - 1
+        assert stats == frozen_longest_path_stats(g)
+
+    def test_cost_at_the_cap(self):
+        # a dense 20-vertex graph: about 0.1 s on a 2-vCPU Xeon, where the
+        # per-set DP took about 5 s (wall time: tracemalloc would stretch
+        # the per-set DP to minutes)
+        g = random_host(20, 0.6, random.Random(2021))
+        t0 = time.perf_counter()
+        longest_path_stats(g)
+        assert time.perf_counter() - t0 < 1.5
 
 
 class TestTreeGeneration:

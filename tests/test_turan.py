@@ -102,6 +102,13 @@ class TestCheckLemma:
         v = check_lemma(build_family(Complete(4)), "spider3_erdos_sos", t=4)
         assert v.hypothesis_holds and v.conclusion_holds
 
+    def test_spider_lemma_rejects_small_t(self):
+        # no 3-leg spider has fewer than 4 vertices, so t <= 3 would give a
+        # vacuous verdict whose hypothesis and conclusion both hold
+        for t in (1, 2, 3):
+            with pytest.raises(ParameterError):
+                check_lemma(build_family(Path(5)), "spider3_erdos_sos", t=t)
+
     def test_path_turan_excludes_extremal(self):
         g = build_family(CompleteSplitPlus(12, 2))
         v = check_lemma(g, "path_turan", k=2)
