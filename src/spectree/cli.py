@@ -144,7 +144,6 @@ def build_parser():
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--count", type=int, default=20)
     v.add_argument("--radius", type=int, default=1)
-    v.add_argument("--epsilon", type=float, default=1e-9)
     v.add_argument("--budget", type=int, default=10**8)
     v.add_argument("--format", choices=("json", "csv"), default="json")
     v.add_argument("--out")
@@ -273,7 +272,7 @@ def _dispatch(args):
 
 
 # config-file keys and their value types
-CONFIG_KEYS = {"campaign": str, "source": str, "epsilon": float} | dict.fromkeys(
+CONFIG_KEYS = {"campaign": str, "source": str} | dict.fromkeys(
     ("k", "n", "n_max", "seed", "count", "radius", "budget"), int
 )
 
@@ -328,7 +327,6 @@ def _campaign_spec_from_args(args):
         n_min=n_min,
         n_max=n_max,
         source=source,
-        epsilon=cfg.get("epsilon", args.epsilon),
         budget=cfg.get("budget", args.budget),
     )
 

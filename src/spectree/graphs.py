@@ -625,28 +625,16 @@ def is_complete_split(g, k):
 
 
 def is_complete_split_plus(g, k):
-    """Exact test for g == S+_{n,k} up to isomorphism, any n."""
+    """Exact test for g == S+_{n,k} up to isomorphism, any n: removing some
+    edge between two vertices of degree k+1 leaves S_{n,k}.  When k = n-2
+    the hubs have degree k+1 too, and S+_{n,n-2} is K_n."""
     n = g.n
-    if not 1 <= k <= n - 2:
+    if not 1 <= k <= n - 2 or g.e != k * n - k * (k + 1) // 2 + 1:
         return False
-    if g.e != k * n - k * (k + 1) // 2 + 1:
-        return False
-    hub_mask = 0
-    for v in range(n):
-        if g.degree(v) == n - 1:
-            hub_mask |= 1 << v
-    if hub_mask.bit_count() != k:
-        return False
-    extra = []
-    for v in range(n):
-        if not hub_mask >> v & 1:
-            other = g.rows[v] & ~hub_mask
-            if g.rows[v] & hub_mask != hub_mask:
-                return False
-            if other:
-                extra.append((v, other))
-    return (
-        len(extra) == 2
-        and extra[0][1] == 1 << extra[1][0]
-        and extra[1][1] == 1 << extra[0][0]
+    ends = [v for v in range(n) if g.degree(v) == k + 1]
+    return any(
+        is_complete_split(g.without_edge(u, v), k)
+        for i, u in enumerate(ends)
+        for v in ends[i + 1 :]
+        if g.has_edge(u, v)
     )

@@ -2,7 +2,8 @@
 
 The closed form for the complete-split graph and the sandwich bound for its
 one-edge augmentation are evaluated exactly in floating point; quotient
-certificates and walk-sum quantities are exact integer arithmetic.
+certificates, walk-sum quantities and the comparison of mu with the largest
+root of an integer polynomial are exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .errors import (
     HypothesisViolationError,
     ParameterError,
 )
-from .graphs import Graph, bits
+from .graphs import CompleteSplit, CompleteSplitPlus, Graph, bits
 
 DEFAULT_TOL = 1e-10
 
@@ -121,6 +122,184 @@ def bound_edges(m):
     if m < 0:
         raise ParameterError(f"m must be nonnegative, got {m}")
     return -0.5 + math.sqrt(2 * m + 0.25)
+
+
+# -- exact comparison with an algebraic threshold ------------------------
+#
+# Polynomials are tuples of integer coefficients, highest degree first,
+# without leading zeros; () is the zero polynomial.
+
+
+def charpoly(matrix):
+    """Characteristic polynomial det(xI - M) of a square integer matrix,
+    by Faddeev-LeVerrier: B_1 = M, c_j = -tr(B_j) / j and
+    B_{j+1} = M (B_j + c_j I).  Every division is exact."""
+    n = len(matrix)
+    nonzero = [[(j, int(x)) for j, x in enumerate(row) if x] for row in matrix]
+    b = [[int(x) for x in row] for row in matrix]
+    coeffs = [1]
+    for j in range(1, n + 1):
+        c = -sum(b[i][i] for i in range(n)) // j
+        coeffs.append(c)
+        if j == n:
+            break
+        for i in range(n):
+            b[i][i] += c
+        b = [_combine(terms, b, n) for terms in nonzero]
+    return tuple(coeffs)
+
+
+def _combine(terms, rows, n):
+    """Sum of x * rows[j] over the (j, x) terms."""
+    out = [0] * n
+    for j, x in terms:
+        out = [s + x * y for s, y in zip(out, rows[j])]
+    return out
+
+
+def split_quotient(family):
+    """Quotient matrix of the equitable partition of S_{n,k} (hubs, rest)
+    or of S+_{n,k} (hubs, extra-edge ends, rest).  Its largest eigenvalue
+    is the family's spectral radius."""
+    family.validate()
+    n, k = family.n, family.k
+    if isinstance(family, CompleteSplitPlus):
+        return ((k - 1, 2, n - k - 2), (k, 1, 0), (k, 0, 0))
+    if isinstance(family, CompleteSplit):
+        return ((k - 1, n - k), (k, 0))
+    raise ParameterError(f"no split quotient for {family!r}")
+
+
+def _trim(p):
+    i = 0
+    while i < len(p) and not p[i]:
+        i += 1
+    return tuple(p[i:])
+
+
+def _primitive(p):
+    """p divided by the gcd of its coefficients; the signs stay."""
+    c = math.gcd(*p)
+    return tuple(x // c for x in p) if c > 1 else tuple(p)
+
+
+def _prem(a, b):
+    """Remainder of c * a by b for some constant c > 0."""
+    if b[0] < 0:
+        b = tuple(-x for x in b)
+    lead, r = b[0], list(a)
+    while len(r) >= len(b):
+        f = r[0]
+        pad = (0,) * (len(r) - len(b))
+        r = list(_trim([lead * x - f * y for x, y in zip(r[1:], b[1:] + pad)]))
+    return tuple(r)
+
+
+def _gcd(a, b):
+    """Greatest common divisor, up to a constant factor."""
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+    return a
+
+
+def _divide(a, b):
+    """a / b for a primitive b that divides a; by Gauss's lemma every
+    quotient coefficient is an integer."""
+    r, q = list(a), []
+    while len(r) >= len(b):
+        f = r[0] // b[0]
+        q.append(f)
+        pad = (0,) * (len(r) - len(b))
+        r = [x - f * y for x, y in zip(r[1:], b[1:] + pad)]
+    return tuple(q)
+
+
+def _sturm_chain(p):
+    """Sturm sequence of the squarefree part of p: p, p' and the negated
+    remainders, each up to a positive factor, divided by the last one,
+    gcd(p, p').  Its sign changes count distinct roots at any point."""
+    d = len(p) - 1
+    chain = [p, _trim([c * (d - i) for i, c in enumerate(p[:-1])])]
+    while chain[-1]:
+        chain.append(_primitive(tuple(-x for x in _prem(chain[-2], chain[-1]))))
+    chain.pop()
+    last = _primitive(chain[-1])
+    return [_divide(c, last) for c in chain] if len(last) > 1 else chain
+
+
+def _variations(chain, x):
+    """Sign changes of the chain at the rational x = (num, den), den > 0,
+    or at +infinity when x is None."""
+    if x is None:
+        signs = [p[0] for p in chain]
+    else:
+        num, den = x
+        signs = []
+        for p in chain:
+            v, scale = 0, 1
+            for c in p:  # den^deg * p(num / den), by Horner
+                v = v * num + c * scale
+                scale *= den
+            if v:
+                signs.append(v)
+    return sum((s > 0) != (t > 0) for s, t in zip(signs, signs[1:]))
+
+
+def _roots_in(chain, lo, hi):
+    """Distinct real roots of chain[0] in (lo, hi]; hi None is +infinity."""
+    return _variations(chain, lo) - _variations(chain, hi)
+
+
+class LargestRoot:
+    """theta, the largest real root of an integer polynomial q, held in an
+    interval (lo / den, hi / den] that contains no other root of q and is
+    at most about 2^-50 max(1, |theta|) wide; den is a power of two.  The
+    interval comes from bisecting the Cauchy bound with Sturm counts.
+
+    `value` is the float midpoint of the interval, and `compare(g)`
+    decides sign(mu(g) - theta) exactly from the integer characteristic
+    polynomial of g."""
+
+    def __init__(self, q):
+        q = _trim(tuple(q))
+        if len(q) < 2:
+            raise ParameterError("a threshold polynomial needs degree >= 1")
+        self.q = q
+        chain = self._chain = _sturm_chain(q)
+        bound = 2 + max(abs(c) for c in q[1:]) // abs(q[0])  # Cauchy, rounded up
+        lo, hi, den = -bound, bound, 1
+        if not _roots_in(chain, (lo, den), (hi, den)):
+            raise ParameterError(f"polynomial {q} has no real root")
+        # invariant: theta lies in (lo, hi] / den and no root of q exceeds it
+        while (hi - lo) << 50 > max(den, abs(hi)) or _roots_in(chain, (lo, den), (hi, den)) > 1:
+            lo, hi, den = self._narrow(lo, hi, den)
+        self._interval = lo, hi, den
+        self.value = (lo + hi) / (2 * den)
+
+    def _narrow(self, lo, hi, den):
+        """The half of (lo, hi] / den that holds theta."""
+        mid, den = lo + hi, 2 * den
+        if _roots_in(self._chain, (mid, den), (2 * hi, den)):
+            return mid, 2 * hi, den
+        return 2 * lo, mid, den
+
+    def compare(self, g):
+        """sign(mu(g) - theta): +1, 0 or -1.
+
+        p is the characteristic polynomial of g's adjacency matrix and
+        h = gcd(p, q); p' is p without the factors of h.  The interval is
+        narrowed until p' has no root in it, that is until p has no more
+        roots there than h, whose only possible one is theta.  Then mu >
+        theta iff p' (or p: h has no root above theta) has a root above the
+        interval; otherwise mu = theta iff theta is a root of h."""
+        p = charpoly([[r >> j & 1 for j in range(g.n)] for r in g.rows])
+        chain, h = _sturm_chain(p), _sturm_chain(_gcd(p, self.q))
+        lo, hi, den = self._interval
+        while _roots_in(chain, (lo, den), (hi, den)) > _roots_in(h, (lo, den), (hi, den)):
+            lo, hi, den = self._narrow(lo, hi, den)
+        if _roots_in(chain, (hi, den), None):
+            return 1
+        return 0 if _roots_in(h, (lo, den), (hi, den)) else -1
 
 
 # -- quotient certificate --------------------------------------------------

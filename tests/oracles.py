@@ -1,8 +1,11 @@
-"""Independent test oracles: brute-force searches that share no code with
-the production search paths."""
+"""Independent test oracles: brute-force searches and exact rational
+linear algebra that share no code with the production paths."""
 
+from fractions import Fraction
 from functools import reduce
 from itertools import combinations, permutations
+
+import numpy as np
 
 from spectree.embed import LONGEST_PATH_CAP, Embedding, PathStats, as_graph
 from spectree.errors import CapExceededError, ParameterError
@@ -209,3 +212,84 @@ def frozen_longest_path_stats(g, cap=LONGEST_PATH_CAP):
     y = frozenset(range(g.n)) - x
     s = {v: (g.rows[v] & mask).bit_count() for v in sorted(y)}
     return PathStats(p, len(path), tuple(path), x, y, s)
+
+
+def inertia(matrix):
+    """(positive, zero, negative) eigenvalue counts of a symmetric rational
+    matrix: symmetric elimination over Fractions, which by Sylvester's law
+    of inertia keeps the counts.  A zero diagonal with a nonzero entry
+    m[i][j] is first made 2 m[i][j] by adding row and column j to i."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    counts = [0, 0, 0]
+    while m:
+        n = len(m)
+        i = next((i for i in range(n) if m[i][i]), None)
+        if i is None:
+            pair = next(((i, j) for i in range(n) for j in range(n) if m[i][j]), None)
+            if pair is None:
+                counts[1] += n
+                break
+            i, j = pair
+            for c in range(n):
+                m[i][c] += m[j][c]
+            for r in range(n):
+                m[r][i] += m[r][j]
+        d = m[i][i]
+        counts[0 if d > 0 else 2] += 1
+        rest = [r for r in range(n) if r != i]
+        m = [[m[r][c] - m[r][i] * m[i][c] / d for c in rest] for r in rest]
+    return tuple(counts)
+
+
+def exact_mu_sign(g, q):
+    """sign(mu(g) - theta) for theta the largest root of a monic integer
+    polynomial q of degree at most 3, by rational inertia.
+
+    An integer theta is compared directly: A - theta I has a positive
+    eigenvalue iff mu > theta, and else a zero one iff mu = theta.
+    Otherwise m, q without its integer roots, is irreducible over Q, so
+    the rational matrix A has theta as an eigenvalue exactly as often as
+    nullity(m(A)) / deg m.  With rationals lo < theta < hi 1e-9 from the
+    float root, mu = theta iff (lo, hi] holds that many eigenvalues of A
+    and no eigenvalue exceeds hi; any other count in (lo, hi] raises."""
+    assert q[0] == 1 and len(q) <= 4, q
+    n = g.n
+    a = [[int(g.has_edge(u, v)) for v in range(n)] for u in range(n)]
+
+    def shifted(r):
+        return [[a[u][v] - (r if u == v else 0) for v in range(n)] for u in range(n)]
+
+    def value(p, x):
+        return reduce(lambda acc, c: acc * x + c, p, 0)
+
+    theta_f = float(max(np.roots(q).real))
+    bound = 1 + max(abs(c) for c in q)
+    m = list(q)
+    for r in range(-bound, bound + 1):
+        while len(m) > 1 and value(m, r) == 0:
+            if abs(r - theta_f) < 1e-6:
+                pos, zero, _ = inertia(shifted(r))
+                return 1 if pos else 0 if zero else -1
+            for i in range(1, len(m)):  # synthetic division by x - r
+                m[i] += r * m[i - 1]
+            m.pop()
+    lo = Fraction(theta_f) - Fraction(1, 10**9)
+    hi = Fraction(theta_f) + Fraction(1, 10**9)
+    assert value(q, lo) < 0 < value(q, hi), "float root misses theta"
+    above_hi = inertia(shifted(hi))[0]
+    if above_hi:
+        return 1
+    above_lo = inertia(shifted(lo))[0]
+    if not above_lo:
+        return -1
+    ma = [[0] * n for _ in range(n)]
+    for c in m:  # Horner: ma = ma A + c I
+        ma = [
+            [sum(ma[u][w] * a[w][v] for w in range(n)) + (c if u == v else 0) for v in range(n)]
+            for u in range(n)
+        ]
+    nullity = inertia(ma)[1]
+    assert nullity % (len(m) - 1) == 0, nullity
+    if above_lo - above_hi == nullity // (len(m) - 1):
+        return 0
+    raise AssertionError(f"eigenvalues within 1e-9 of theta other than theta in {g!r}")

@@ -62,8 +62,15 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "line, named",
-        # a missing file, values of the wrong type, an unknown key
-        [(None, ""), ("k=two", "'k'"), ("n = 4.5", "'n'"), ("epslion=0.5", "'epslion'")],
+        # a missing file, values of the wrong type, unknown keys (epsilon
+        # was removed with the float threshold band)
+        [
+            (None, ""),
+            ("k=two", "'k'"),
+            ("n = 4.5", "'n'"),
+            ("epslion=0.5", "'epslion'"),
+            ("epsilon = 1e-6", "'epsilon'"),
+        ],
     )
     def test_usage_error_bad_config(self, capsys, tmp_path, line, named):
         cfg = tmp_path / "c.cfg"
@@ -100,6 +107,23 @@ class TestExitCodes:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and token in err
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        # a removed option, and sampled sources with no draws or radius < 1
+        [
+            (["--epsilon", "1e-6"], "--epsilon"),
+            (["--source", "random", "--count", "-3"], "count"),
+            (["--source", "perturbation", "--count", "0"], "count"),
+            (["--source", "perturbation", "--radius", "-1"], "radius"),
+        ],
+    )
+    def test_usage_error_bad_verify_option(self, capsys, tmp_path, extra, named):
+        out = tmp_path / "r.json"
+        code = main(["verify", "conjecture_a", "--n", "6", "--out", str(out)] + extra)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert named in err
 
     def test_usage_error_unwritable_out(self, capsys, tmp_path, monkeypatch):
         # the --out path is checked before the campaign runs

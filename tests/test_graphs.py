@@ -312,6 +312,23 @@ class TestFamilyRecognizers:
         assert is_complete_split_plus(build_family(CompleteSplitPlus(30, 3)), 3)
         assert not is_complete_split_plus(build_family(CompleteSplit(30, 3)), 3)
 
+    def test_recognize_every_small_split_plus(self):
+        # S+_{n,n-2} is K_n, whose extra-edge ends are hubs too
+        rng = random.Random(10)
+        for n in range(3, 13):
+            for k in range(1, n - 1):
+                g = build_family(CompleteSplitPlus(n, k))
+                perm = list(range(n))
+                rng.shuffle(perm)
+                assert is_complete_split_plus(g.relabel(perm), k), (n, k)
+                assert not is_complete_split_plus(build_family(CompleteSplit(n, k)), k)
+                assert not is_complete_split_plus(g, k - 1) and not is_complete_split_plus(g, k + 1)
+                if n - k >= 5:
+                    # move an edge from hub 0 to a leaf onto two other
+                    # leaves: same order, size and hubs but one
+                    moved = g.without_edge(0, n - 1).with_edge(n - 2, n - 3)
+                    assert not is_complete_split_plus(moved, k), (n, k)
+
     def test_recognize_relabeled(self):
         rng = random.Random(3)
         g = build_family(CompleteSplitPlus(12, 2))

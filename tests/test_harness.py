@@ -1,18 +1,27 @@
 import dataclasses
+import functools
+import hashlib
+import importlib.util
 import json
+from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from spectree.errors import ParameterError
 from spectree.graphs import (
+    Complete,
     CompleteSplit,
     CompleteSplitPlus,
     build_family,
     canonical_key,
     decode_graph6,
+    encode_graph6,
 )
+from spectree.embed import all_trees_of_order
 from spectree.enumeration import all_graphs
-from spectree.spectral import mu_S_closed
+from spectree.spectral import LargestRoot, charpoly, split_quotient
 from spectree.harness import (
     CAMPAIGNS,
     CampaignSpec,
@@ -23,6 +32,8 @@ from spectree.harness import (
     run_campaign,
     write_report,
 )
+
+from oracles import brute_force_contains, exact_mu_sign
 
 
 def small_spec(**kw):
@@ -44,9 +55,20 @@ class TestSpecValidation:
         with pytest.raises(ParameterError):
             small_spec(n_min=8, n_max=6).validate()
 
-    def test_bad_epsilon(self):
+    @pytest.mark.parametrize(
+        "source",
+        # no draws, negative draws, and a perturbation of radius < 1
+        [
+            Source("random", count=-3),
+            Source("random", count=0),
+            Source("perturbation", count=0, base=CompleteSplit(6, 2)),
+            Source("perturbation", count=5, base=CompleteSplit(6, 2), radius=0),
+            Source("perturbation", count=5, base=CompleteSplit(6, 2), radius=-1),
+        ],
+    )
+    def test_bad_sampled_source(self, source):
         with pytest.raises(ParameterError):
-            small_spec(epsilon=0.0).validate()
+            small_spec(source=source).validate()
 
 
 class TestMuCampaign:
@@ -56,12 +78,18 @@ class TestMuCampaign:
         # invariants are internal consistency, not a zero count
         report = run_campaign(small_spec())
         assert report.totals["graphs_scanned"] == 156
-        thr = mu_S_closed(6, 2)
+        q = charpoly(split_quotient(CompleteSplit(6, 2)))
         for v in report.verdicts:
-            if v["classification"] == "qualifying":
-                assert v["mu"] >= thr + 1e-9
+            if v["classification"] == "excluded_exceptional":
+                continue
+            qualifies = exact_mu_sign(decode_graph6(v["key"]), q) >= 0
+            assert v["classification"] == ("qualifying" if qualifies else "non_qualifying")
+            if qualifies:
                 assert v["conclusion_holds"] == (not v["missing"])
                 assert v["violation"] == bool(v["missing"])
+        # mu(EK~o) = mu(S_{6,2}) = 1/2 + sqrt(8.25) exactly
+        (eq,) = [v for v in report.verdicts if v["key"] == "EK~o"]
+        assert eq["classification"] == "qualifying"
         assert report.totals["violations"] == len(report.violations)
         assert all(v["missing"] for v in report.violations)
 
@@ -88,6 +116,16 @@ class TestMuCampaign:
         ]
         keys = {v["key"] for v in excluded}
         assert canonical_key(build_family(CompleteSplitPlus(6, 2))) in keys
+
+    @pytest.mark.parametrize("n, k", [(4, 2), (5, 3)])
+    def test_conjecture_b_excludes_complete_graph(self, n, k):
+        # S+_{n,n-2} is K_n, the only graph of order n at its threshold
+        report = run_campaign(small_spec(campaign="conjecture_b", k=k, n_min=n, n_max=n))
+        (excluded,) = [
+            v for v in report.verdicts if v["classification"] == "excluded_exceptional"
+        ]
+        assert excluded["key"] == canonical_key(build_family(Complete(n)))
+        assert report.totals["hypothesis_satisfying"] == 0
 
     def test_random_source_deterministic(self):
         # 30 draws on 4 vertices (11 classes) repeat keys; verdicts come in
@@ -121,6 +159,103 @@ class TestMuCampaign:
         assert report.totals["hypothesis_satisfying"] > 0
         # every violation names the missing path pattern
         assert all(v["missing"] == ["path"] for v in report.violations)
+
+
+def _digest(keys):
+    return hashlib.sha256("\n".join(sorted(keys)).encode()).hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def _numpy_mu(n):
+    """(graph, largest adjacency eigenvalue by eigvalsh) for every graph on n vertices."""
+    out = []
+    for g in all_graphs(n):
+        a = np.array([[g.has_edge(u, v) for v in range(n)] for u in range(n)], float)
+        out.append((g, np.linalg.eigvalsh(a)[-1]))
+    return out
+
+
+@pytest.fixture(scope="module")
+def report_n8():
+    return run_campaign(small_spec(n_min=8, n_max=8))
+
+
+class TestExactThreshold:
+    # sha256 of the sorted keys, joined by "\n", of the 28 graphs other
+    # than S_{8,2} with mu = mu(S_{8,2}) = 4, and of the 14 of them that
+    # miss a tree of order 6
+    EQUAL_N8 = "6f8f47a18a42aadd81e9b47fc660243ae16a800d9c1b3ff7329d25992e82d7e0"
+    VIOLATIONS_N8 = "0a56bc385612febe1073b120f91d922c694928e38d2f047e5960002bb9959d74"
+
+    def test_pinned_n8_report(self, report_n8):
+        assert report_n8.totals == {
+            "graphs_scanned": 12346,
+            "hypothesis_satisfying": 5176,
+            "boundary_classified": 0,
+            "violations": 14,
+        }
+        assert report_n8.boundary == []
+        assert report_n8.empirical_thresholds == {
+            "per_n_violations": {"8": 14},
+            "zero_violation_from_n": None,
+        }
+        classes = [v["classification"] for v in report_n8.verdicts]
+        assert classes.count("excluded_exceptional") == 1
+        assert _digest(v["key"] for v in report_n8.violations) == self.VIOLATIONS_N8
+        connected = [decode_graph6(v["key"]).is_connected() for v in report_n8.violations]
+        assert sum(connected) == 6
+
+    def test_n8_equalities_against_oracle(self, report_n8):
+        q = charpoly(split_quotient(CompleteSplit(8, 2)))
+        equal = [
+            v
+            for v in report_n8.verdicts
+            if abs(v["mu"] - 4) < 1e-6 and v["classification"] != "excluded_exceptional"
+        ]
+        assert len(equal) == 28
+        assert _digest(v["key"] for v in equal) == self.EQUAL_N8
+        trees = all_trees_of_order(6)
+        for v in equal:
+            g = decode_graph6(v["key"])
+            assert exact_mu_sign(g, q) == 0, v["key"]
+            assert v["classification"] == "qualifying"
+            misses = any(brute_force_contains(g, t) is None for t in trees)
+            assert v["violation"] == misses, v["key"]
+        assert sum(v["violation"] for v in equal) == 14
+
+    # (campaign, k) -> graphs of order <= 8 with mu within 1e-9 of the
+    # threshold: the 44 graphs that a float band once left unclassified
+    # (30, 11, 1 and 2) and the extremal graph of every other order
+    BAND = {
+        ("conjecture_a", 2): 36,
+        ("conjecture_a", 3): 16,
+        ("conjecture_b", 2): 5,
+        ("conjecture_b", 3): 5,
+    }
+
+    @pytest.mark.parametrize("campaign, k", sorted(BAND))
+    def test_band_graphs_are_exact_equalities(self, campaign, k):
+        family = CompleteSplitPlus if campaign == "conjecture_b" else CompleteSplit
+        band = 0
+        for n in range(k + 1 + (campaign == "conjecture_b"), 9):
+            q = charpoly(split_quotient(family(n, k)))
+            theta = LargestRoot(q)
+            for g, mu in _numpy_mu(n):
+                if abs(mu - theta.value) <= 1e-9 * theta.value:
+                    band += 1
+                    assert exact_mu_sign(g, q) == 0 == theta.compare(g), encode_graph6(g)
+        assert band == self.BAND[campaign, k]
+
+    def test_bench_checks_accept_the_report(self, report_n8):
+        # bench/checks.py, loaded read-only, is the benchmark's report gate
+        path = Path(__file__).resolve().parent.parent / "bench" / "checks.py"
+        spec = importlib.util.spec_from_file_location("bench_checks", path)
+        checks = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(checks)
+        workload = SimpleNamespace(
+            campaign="conjecture_a", k=2, source="exhaustive", expected_scanned=12346
+        )
+        assert checks.check_report(workload, report_n8, checks.MuOracle()) == []
 
 
 class TestOtherCampaigns:

@@ -23,16 +23,22 @@ from spectree.graphs import (
     empty_graph,
 )
 from spectree.spectral import (
+    LargestRoot,
     adjacency_matrix,
     bound_edges,
     bound_min_degree,
+    charpoly,
     dense_core_witness,
     lemma1_certificate,
     mu_S_closed,
     mu_S_plus_bounds,
     spectral_radius,
+    split_quotient,
     walk_sum_B_u,
 )
+from spectree.enumeration import all_graphs, random_graph
+
+from oracles import exact_mu_sign
 
 
 def jacobi_spectral_radius(g, sweeps=100, tol=1e-12):
@@ -175,6 +181,79 @@ class TestClosedForm:
     def test_parameter_check(self):
         with pytest.raises(ParameterError):
             mu_S_closed(5, 5)
+
+
+# the acceptance-1 grid, restricted to n <= 16
+SMALL_GRID = [(n, k) for k in range(1, 6) for n in range(k + 2, 17)]
+
+
+class TestExactThreshold:
+    def test_charpoly_against_eigenvalues(self):
+        for seed in range(40):
+            g = random_graph(2 + seed % 11, p=0.4, seed=seed)
+            expect = np.poly(np.linalg.eigvalsh(adjacency_matrix(g)))
+            assert np.allclose(charpoly(adjacency_matrix(g, dtype=int)), expect, atol=1e-6)
+
+    def test_charpoly_of_quotients(self):
+        for n, k in SMALL_GRID:
+            assert charpoly(split_quotient(CompleteSplit(n, k))) == (1, -(k - 1), -k * (n - k))
+            q = charpoly(split_quotient(CompleteSplitPlus(n, k)))
+            mu = spectral_radius(build_family(CompleteSplitPlus(n, k))).mu
+            assert LargestRoot(q).value == pytest.approx(mu, rel=1e-12)
+
+    @pytest.mark.parametrize("n, k", SMALL_GRID)
+    def test_signs_on_the_grid(self, n, k):
+        s_graph = build_family(CompleteSplit(n, k))
+        plus_graph = build_family(CompleteSplitPlus(n, k))
+        s_root = LargestRoot(charpoly(split_quotient(CompleteSplit(n, k))))
+        plus_root = LargestRoot(charpoly(split_quotient(CompleteSplitPlus(n, k))))
+        assert s_root.value == pytest.approx(mu_S_closed(n, k), rel=1e-13)
+        assert s_root.compare(s_graph) == 0
+        assert plus_root.compare(plus_graph) == 0
+        assert s_root.compare(plus_graph) == 1
+        assert plus_root.compare(s_graph) == -1
+
+    def test_against_rational_oracle(self):
+        # every graph on at most 6 vertices against the thresholds of
+        # S_{6,2} (1/2 + sqrt(8.25)), S_{5,2} (3) and S+_{6,2} (a cubic)
+        families = [CompleteSplit(6, 2), CompleteSplit(5, 2), CompleteSplitPlus(6, 2)]
+        for fam in families:
+            q = charpoly(split_quotient(fam))
+            theta = LargestRoot(q)
+            for n in range(1, 7):
+                for g in all_graphs(n):
+                    assert theta.compare(g) == exact_mu_sign(g, q), (fam, g.edges())
+
+    def test_multiple_roots(self):
+        # (x - 2)^3: the Sturm chain is taken of the squarefree part
+        theta = LargestRoot((1, -6, 12, -8))
+        assert theta.value == pytest.approx(2.0, abs=1e-11)
+        assert theta.compare(build_family(Complete(3))) == 0
+        assert theta.compare(build_family(Path(3))) == -1
+        assert theta.compare(build_family(Complete(4))) == 1
+
+    def test_multiple_eigenvalue_at_an_interval_end(self):
+        # bisecting the Cauchy interval (-4, 4] of x - 2 ends the interval
+        # exactly at 2, a double eigenvalue of 2 K_3, where every term of a
+        # Sturm chain that was not reduced to the squarefree part vanishes
+        k3, k4 = build_family(Complete(3)), build_family(Complete(4))
+        theta = LargestRoot((1, -2))
+        assert theta.compare(disjoint_union(k3, k3)) == 0
+        assert theta.compare(disjoint_union(k4, disjoint_union(k3, k3))) == 1
+
+    def test_root_closer_than_the_first_interval(self):
+        # theta = a / 2^70 within 2^-70 of mu(P_3) = sqrt(2): the interval
+        # must be narrowed past its first 2^-50 width to separate them
+        a = math.isqrt(2 << 140)  # floor(sqrt(2) 2^70)
+        p3 = build_family(Path(3))
+        assert LargestRoot((1 << 70, -a)).compare(p3) == 1
+        assert LargestRoot((1 << 70, -(a + 1))).compare(p3) == -1
+        assert exact_mu_sign(p3, (1, 0, -2)) == 0 == LargestRoot((1, 0, -2)).compare(p3)
+
+    def test_rejects_polynomials_without_real_root(self):
+        for q in [(1,), (1, 0, 1)]:
+            with pytest.raises(ParameterError):
+                LargestRoot(q)
 
 
 class TestSandwich:
