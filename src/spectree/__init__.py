@@ -60,7 +60,6 @@ from .turan import (
     edge_threshold_S_plus,
 )
 from .enumeration import (
-    EnumerationCursor,
     all_graphs,
     perturb_extremal,
     random_graph,

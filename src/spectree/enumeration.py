@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import CapExceededError, ParameterError
 from .graphs import (
@@ -21,7 +20,6 @@ EXHAUSTIVE_CAP = 8
 OPT_IN_CAP = 9
 
 _cache = {}
-_connected_cache = {}
 
 
 def _representatives(n):
@@ -67,27 +65,24 @@ def _representatives(n):
     return reps
 
 
-def _ordered_keys(n, connected_only=False, cap=EXHAUSTIVE_CAP):
-    """Canonical graph6 keys of the classes on n vertices, in stream order;
-    the connected subsequence is cached once per n."""
+def _ordered_keys(n, cap=EXHAUSTIVE_CAP):
+    """Canonical graph6 keys of the classes on n vertices, in stream order."""
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     if cap > OPT_IN_CAP:
         raise ParameterError(f"cap beyond n={OPT_IN_CAP} is out of scope")
     if n > cap:
         raise CapExceededError(f"exhaustive enumeration capped at n={cap}, got {n}")
-    keys = _representatives(n)
-    if not connected_only:
-        return keys
-    if n not in _connected_cache:
-        _connected_cache[n] = [k for k in keys if decode_graph6(k).is_connected()]
-    return _connected_cache[n]
+    return _representatives(n)
 
 
 def all_graphs(n, connected_only=False, cap=EXHAUSTIVE_CAP):
     """One representative per isomorphism class on n vertices, as a list in
     deterministic (canonical graph6) order."""
-    return [decode_graph6(k) for k in _ordered_keys(n, connected_only, cap)]
+    graphs = [decode_graph6(k) for k in _ordered_keys(n, cap)]
+    if connected_only:
+        return [g for g in graphs if g.is_connected()]
+    return graphs
 
 
 def keyed_graphs(n):
@@ -95,35 +90,6 @@ def keyed_graphs(n):
     Each key is the canonical graph6 string the graph was decoded from, so
     it equals `canonical_key(graph)`."""
     return ((k, decode_graph6(k)) for k in _ordered_keys(n))
-
-
-@dataclass
-class EnumerationCursor:
-    """Resumable cursor over the canonical stream for one order."""
-
-    n: int
-    connected_only: bool = False
-    token: int = 0
-    emitted: int = 0
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        keys = _ordered_keys(self.n, self.connected_only)
-        if self.token >= len(keys):
-            raise StopIteration
-        g = decode_graph6(keys[self.token])
-        self.token += 1
-        self.emitted += 1
-        return g
-
-
-def spool_graph6(graphs, path):
-    """Write one graph6 line per graph."""
-    with open(path, "w") as fh:
-        for g in graphs:
-            fh.write(encode_graph6(g) + "\n")
 
 
 def random_graph(n, m=None, p=None, seed=0):

@@ -122,27 +122,10 @@ class Graph:
 
     # -- traversal --------------------------------------------------------
 
-    def component_masks(self):
-        """Bitmasks of the connected components, ordered by least vertex."""
-        seen = 0
-        comps = []
-        full = (1 << self.n) - 1
-        while seen != full:
-            start = (~seen & full) & -(~seen & full)  # lowest unseen bit
-            frontier = start
-            comp = 0
-            while frontier:
-                comp |= frontier
-                nxt = 0
-                for v in bits(frontier):
-                    nxt |= self.rows[v]
-                frontier = nxt & ~comp
-            comps.append(comp)
-            seen |= comp
-        return comps
-
     def is_connected(self):
-        return self.n <= 1 or len(self.component_masks()) == 1
+        """Whether vertex 0 and its BFS shells, which are disjoint masks
+        without it, cover all n vertices."""
+        return self.n == 0 or 1 + sum(self.bfs_shells(0)) == (1 << self.n) - 1
 
     def bfs_shells(self, u):
         """Vertex masks at BFS distance 1, 2, ... from u (u excluded)."""

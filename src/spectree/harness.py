@@ -333,7 +333,7 @@ def _lemma_suite_verdict(n, index, key, g):
         verd = check_lemma(g, "spider3_erdos_sos", t=t)
         if verd.violation:
             failures.append(f"spider3_t{t}")
-    mu = spectral_radius(g).mu if g.e else 0.0
+    mu = spectral_radius(g).mu
     if mu > bound_edges(g.e) + 1e-9:
         failures.append("edge_bound")
     delta = min(g.degrees()) if g.n else 0

@@ -28,7 +28,6 @@ DEFAULT_TOL = 1e-10
 class SpectralResult:
     mu: float
     residual: float
-    component_id: int
 
 
 def adjacency_matrix(g, dtype=float):
@@ -40,43 +39,29 @@ def adjacency_matrix(g, dtype=float):
 
 
 def spectral_radius(g, tol=DEFAULT_TOL):
-    """Perron root of the component with largest spectral radius.
+    """Largest eigenvalue of the adjacency matrix.
 
-    LAPACK ``eigh`` on each connected component's adjacency matrix.  The
-    reported residual is the infinity norm ||Av - mu v|| of the returned
-    unit eigenvector; a residual above tol * max(1, mu) raises
-    ConvergenceError carrying that component's result as ``best``.
+    One LAPACK ``eigh`` on the whole matrix: a disconnected graph's matrix
+    is block-diagonal, so this is already the largest over its components.
+    The reported residual is the infinity norm ||Av - mu v|| of the
+    returned unit eigenvector; a residual above tol * max(1, mu) raises
+    ConvergenceError carrying the result as ``best``.
     """
     if g.n == 0:
         raise ParameterError("spectral radius undefined for the empty graph")
     if tol <= 0:
         raise ParameterError("tol must be positive")
-    comps = g.component_masks()
-    best = None
-    for cid, mask in enumerate(comps):
-        verts = bits(mask)
-        if len(verts) == 1:
-            res = SpectralResult(0.0, 0.0, cid)
-        else:
-            sub = g if len(comps) == 1 else g.subgraph(verts)[0]
-            res = _perron(adjacency_matrix(sub), cid)
-            if res.residual > tol * max(1.0, res.mu):
-                raise ConvergenceError(
-                    f"eigh residual {res.residual:.3e} > tol {tol:.3e} * max(1, mu)",
-                    best=res,
-                )
-        if best is None or res.mu > best.mu:
-            best = res
-    return best
-
-
-def _perron(a, cid):
-    """Largest eigenpair of a symmetric matrix and its true residual."""
+    a = adjacency_matrix(g)
     w, v = np.linalg.eigh(a)
     mu = float(w[-1])
     x = v[:, -1]
-    residual = float(np.max(np.abs(a @ x - mu * x)))
-    return SpectralResult(mu, residual, cid)
+    res = SpectralResult(mu, float(np.max(np.abs(a @ x - mu * x))))
+    if res.residual > tol * max(1.0, mu):
+        raise ConvergenceError(
+            f"eigh residual {res.residual:.3e} > tol {tol:.3e} * max(1, mu)",
+            best=res,
+        )
+    return res
 
 
 # -- closed forms and bounds ----------------------------------------------
@@ -399,10 +384,7 @@ def dense_core_witness(g, k, c, tol=DEFAULT_TOL):
     n0 = g.n
     h = g
     while h.n > 0:
-        if h.e > 0:
-            mu = spectral_radius(h, tol).mu
-        else:
-            mu = 0.0
+        mu = spectral_radius(h, tol).mu
         if mu > math.sqrt((2 * k + 1) * h.n):
             return h, "i"
         delta = min(h.degrees())

@@ -16,7 +16,6 @@ from .graphs import (
     Path,
     Spider,
     build_family,
-    encode_graph6,
     is_complete_split_plus,
 )
 from .embed import contains_tree, longest_path_stats
@@ -39,11 +38,6 @@ class LemmaVerdict:
     violation: bool
     asymptotic: bool
     details: dict = field(default_factory=dict, compare=False)
-
-    @property
-    def graph_key(self):
-        """graph6 text of the graph, encoded when read."""
-        return encode_graph6(self.graph)
 
 
 def bound_path(n, t):

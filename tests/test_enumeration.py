@@ -13,17 +13,14 @@ from spectree.graphs import (
     Path,
     build_family,
     canonical_key,
-    decode_graph6,
     encode_graph6,
 )
 from spectree import enumeration
 from spectree.enumeration import (
-    EnumerationCursor,
     _ordered_keys,
     all_graphs,
     perturb_extremal,
     random_graph,
-    spool_graph6,
 )
 
 from oracles import frozen_canonical_key
@@ -134,47 +131,6 @@ class TestAugmentation:
         counts = [len(_ordered_keys(n)) for n in range(1, 8)]
         assert counts == [1, 2, 4, 11, 34, 156, 1044]
         assert len(calls) <= 2088
-
-
-class TestCursor:
-    def test_resumption(self):
-        full = [encode_graph6(g) for g in all_graphs(5)]
-        cur = EnumerationCursor(5)
-        head = [encode_graph6(next(cur)) for _ in range(10)]
-        resumed = EnumerationCursor(5, token=cur.token)
-        tail = [encode_graph6(g) for g in resumed]
-        assert head + tail == full
-
-    def test_exhaustion(self):
-        cur = EnumerationCursor(3)
-        assert len(list(cur)) == 4
-        with pytest.raises(StopIteration):
-            next(cur)
-
-    @pytest.mark.parametrize("connected_only", [False, True])
-    def test_one_decode_per_step(self, monkeypatch, connected_only):
-        expect = [encode_graph6(g) for g in all_graphs(7, connected_only)]
-        calls = []
-
-        def counting_decode(text):
-            calls.append(text)
-            return decode_graph6(text)
-
-        monkeypatch.setattr(enumeration, "decode_graph6", counting_decode)
-        cur = EnumerationCursor(7, connected_only)
-        head = [encode_graph6(next(cur)) for _ in range(100)]
-        assert len(calls) == 100
-        tail = [encode_graph6(g) for g in EnumerationCursor(7, connected_only, cur.token)]
-        assert head + tail == expect
-        assert len(calls) == len(expect)
-
-
-class TestSpool:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "g5.g6"
-        spool_graph6(all_graphs(4), path)
-        lines = path.read_text().splitlines()
-        assert [decode_graph6(s) for s in lines] == all_graphs(4)
 
 
 class TestRandomGraph:

@@ -21,7 +21,8 @@ from spectree.graphs import (
 )
 from spectree.embed import all_trees_of_order
 from spectree.enumeration import all_graphs
-from spectree.spectral import LargestRoot, charpoly, split_quotient
+from spectree.spectral import LargestRoot, charpoly, spectral_radius, split_quotient
+from spectree import harness
 from spectree.harness import (
     CAMPAIGNS,
     CampaignSpec,
@@ -92,6 +93,18 @@ class TestMuCampaign:
         assert eq["classification"] == "qualifying"
         assert report.totals["violations"] == len(report.violations)
         assert all(v["missing"] for v in report.violations)
+
+    def test_one_spectral_radius_call_per_graph(self, monkeypatch):
+        # bench/spans.py times mu by wrapping this module attribute
+        calls = []
+
+        def counting(g, *args, **kwargs):
+            calls.append(g)
+            return spectral_radius(g, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "spectral_radius", counting)
+        report = run_campaign(small_spec(n_min=5, n_max=5))
+        assert len(calls) == report.totals["graphs_scanned"] == 34
 
     def test_violations_carry_witness_keys(self):
         # e.g. the octahedron qualifies but has max degree 4, so the 5-star

@@ -107,8 +107,40 @@ class TestSpectralRadius:
         res = spectral_radius(g)
         assert res.mu == pytest.approx(3.0, abs=1e-9)
 
+    def test_disconnected_matches_per_component_oracle(self):
+        # the largest per-component eigvalsh value, components found by a
+        # plain set-based search
+        checked = 0
+        for n in range(2, 8):
+            for g in all_graphs(n):
+                if g.is_connected():
+                    continue
+                a = adjacency_matrix(g)
+                unseen, best = set(range(n)), 0.0
+                while unseen:
+                    comp, todo = set(), [min(unseen)]
+                    while todo:
+                        v = todo.pop()
+                        if v not in comp:
+                            comp.add(v)
+                            todo += [w for w in range(n) if a[v, w]]
+                    unseen -= comp
+                    c = sorted(comp)
+                    best = max(best, float(np.linalg.eigvalsh(a[np.ix_(c, c)])[-1]))
+                mu = spectral_radius(g).mu
+                assert abs(mu - best) <= 1e-12 * max(1.0, best)
+                checked += 1
+        assert checked == 256  # the disconnected classes on at most 7 vertices
+
     def test_single_vertex(self):
-        assert spectral_radius(empty_graph(1)).mu == 0.0
+        mu = spectral_radius(empty_graph(1)).mu
+        assert mu == 0.0 and math.copysign(1, mu) == 1
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_edgeless(self, n):
+        # a -0.0 would show up in reports
+        mu = spectral_radius(empty_graph(n)).mu
+        assert mu == 0.0 and math.copysign(1, mu) == 1
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ParameterError):
