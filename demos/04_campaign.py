@@ -35,9 +35,12 @@ equal = [
     for v in report.verdicts
     if v["classification"] == "qualifying" and abs(v["mu"] - theta) < 1e-9
 ]
-missing = [v["key"] for v in equal if v["violation"]]
+missing = {v["key"]: v["missing"] for v in equal if v["violation"]}
 print(f"graphs other than S_{{n,k}} with mu = mu(S_{{n,k}}) = {theta:g}: {len(equal)},",
-      f"{len(missing)} of them miss a tree of order {2 * K + 2}:", missing[:5], "...")
+      f"{len(missing)} of them miss a tree of order {2 * K + 2}; the first three,",
+      "with the canonical graph6 keys of the trees they miss:")
+for key in list(missing)[:3]:
+    print(f"  {key}: {missing[key]}")
 print("violations:", report.totals["violations"])
 
 path = os.path.join(tempfile.gettempdir(), f"conjecture_a_n{N}.json")

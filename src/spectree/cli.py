@@ -40,8 +40,7 @@ from .harness import (
     Source,
     SCHEMA_VERSION,
     VerificationReport,
-    report_to_csv,
-    report_to_json,
+    render_report,
     run_campaign,
 )
 
@@ -242,8 +241,7 @@ def _dispatch(args):
     if args.command == "verify":
         spec = _campaign_spec_from_args(args)
         report = run_campaign(spec)
-        payload = report_to_json(report) if args.format == "json" else report_to_csv(report)
-        _emit(payload, args.out)
+        _emit(render_report(report, args.format), args.out)
         print(
             f"campaign {spec.campaign}: scanned {report.totals['graphs_scanned']}, "
             f"violations {report.totals['violations']}",
@@ -265,8 +263,7 @@ def _dispatch(args):
             report = VerificationReport(**data)
         except TypeError as exc:
             raise ParameterError(f"{args.path}: not a report: {exc}") from exc
-        payload = report_to_json(report) if args.format == "json" else report_to_csv(report)
-        _emit(payload, args.out)
+        _emit(render_report(report, args.format), args.out)
         return 0
     raise ParameterError(f"unknown command {args.command!r}")
 

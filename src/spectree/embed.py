@@ -20,6 +20,8 @@ from .graphs import (
     Spider,
     bits,
     build_family,
+    canonical_key,
+    decode_graph6,
 )
 from .spectral import walk_sum_B_u
 
@@ -398,56 +400,23 @@ def longest_path_stats(g, cap=LONGEST_PATH_CAP):
 # -- free trees ------------------------------------------------------------
 
 
-def _tree_code(g):
-    """AHU canonical code of a tree: invariant under relabeling."""
-    n = g.n
-    if n == 1:
-        return ("()",)
-    if n == 2:
-        return ("(())",)
-    # find centers by leaf stripping
-    deg = list(g.degrees())
-    alive = set(range(n))
-    leaves = [v for v in alive if deg[v] <= 1]
-    while len(alive) > 2:
-        nxt = []
-        for v in leaves:
-            alive.discard(v)
-            for w in g.neighbors(v):
-                if w in alive:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-        leaves = nxt
-    centers = sorted(alive)
-
-    def rooted(v, parent):
-        ch = sorted(rooted(w, v) for w in g.neighbors(v) if w != parent)
-        return "(" + "".join(ch) + ")"
-
-    if len(centers) == 1:
-        return (rooted(centers[0], None),)
-    a, b = centers
-    return tuple(sorted((rooted(a, b), rooted(b, a))))
-
-
+@lru_cache(maxsize=16)
 def all_trees_of_order(t, cap=12):
-    """All pairwise non-isomorphic free trees on t vertices, deterministic
-    order.  Generated by leaf augmentation with canonical-code dedup."""
+    """All pairwise non-isomorphic free trees on t vertices, each labelled
+    canonically and listed in canonical-key order, so encode_graph6(tree)
+    is its identity.  Generated by leaf augmentation deduplicated by
+    canonical_key; each level is the sorted set of keys.  Cached per t."""
     if not 2 <= t <= cap:
         raise CapExceededError(f"tree generation supports 2 <= t <= {cap}, got {t}")
-    level = {_tree_code(Graph.from_edges(2, [(0, 1)])): Graph.from_edges(2, [(0, 1)])}
-    for m in range(3, t + 1):
-        nxt = {}
-        for g in level.values():
+    level = [canonical_key(Graph.from_edges(1, []))]
+    for m in range(2, t + 1):
+        nxt = set()
+        for key in level:
+            g = decode_graph6(key)
             for v in range(g.n):
-                edges = g.edges() + [(v, g.n)]
-                h = Graph.from_edges(g.n + 1, edges)
-                code = _tree_code(h)
-                if code not in nxt:
-                    nxt[code] = h
-        level = nxt
-    return [level[c] for c in sorted(level)]
+                nxt.add(canonical_key(Graph.from_edges(m, g.edges() + [(v, g.n)]), cap=cap))
+        level = sorted(nxt)
+    return tuple(decode_graph6(key) for key in level)
 
 
 # -- proof-guided spider embedding ----------------------------------------
@@ -529,7 +498,10 @@ def _case_low_degree(g, u, k, pat, trace):
     shells = g.bfs_shells(u)
     n1 = bits(shells[0]) if shells else []
     n2m = shells[1] if len(shells) > 1 else 0
-    side_small, side_big = _spider_bipartition(pat)
+    # the spider's 2-colouring: vertex 0 and its even BFS shells, the odd shells
+    pat_shells = pat.bfs_shells(0)
+    sides = bits(1 | sum(pat_shells[1::2])), bits(sum(pat_shells[::2]))
+    side_small, side_big = sorted(sides, key=len)
     if len(side_small) > k:
         trace.notes.append("spider cover side exceeds k")
         return None
@@ -548,22 +520,6 @@ def _case_low_degree(g, u, k, pat, trace):
             return Embedding(tuple(assignment))
     trace.notes.append("no k-set with enough common second-shell neighbors")
     return None
-
-
-def _spider_bipartition(pat):
-    """2-coloring classes of the (bipartite) spider, smaller side first."""
-    color = [-1] * pat.n
-    color[0] = 0
-    queue = [0]
-    while queue:
-        v = queue.pop()
-        for w in pat.neighbors(v):
-            if color[w] == -1:
-                color[w] = 1 - color[v]
-                queue.append(w)
-    a = [v for v in range(pat.n) if color[v] == 0]
-    b = [v for v in range(pat.n) if color[v] == 1]
-    return (a, b) if len(a) <= len(b) else (b, a)
 
 
 def _case_high_degree(g, u, k, spider, wsum, trace, budget):

@@ -42,7 +42,7 @@ from .spectral import (
 )
 from .embed import all_trees_of_order, contains_tree
 from .enumeration import keyed_graphs, perturb_extremal, random_graph
-from .turan import check_lemma, edge_threshold_S_plus
+from .turan import check_lemma, edge_threshold_S_plus, partitions
 
 SCHEMA_VERSION = 1
 
@@ -157,7 +157,7 @@ def _patterns(spec):
     c = spec.campaign
     if c in ("conjecture_a", "conjecture_b"):
         order = 2 * k + 2 if c == "conjecture_a" else 2 * k + 3
-        return [("tree", t) for t in all_trees_of_order(order)]
+        return [(encode_graph6(t), t) for t in all_trees_of_order(order)]
     if c == "theorem_path":
         return [("path", build_family(Path(2 * k + 2)))]
     if c == "theorem_brooms":
@@ -168,7 +168,7 @@ def _patterns(spec):
         ]
     if c == "theorem_spider":
         out = []
-        for legs in _partitions(2 * k + 2):
+        for legs in partitions(2 * k + 2):
             sp = Spider(*legs)
             if sp.odd_legs >= 3 and 2 * sp.unit_legs - sp.odd_legs >= 2:
                 out.append((f"spider_{'_'.join(map(str, legs))}", build_family(sp)))
@@ -186,15 +186,6 @@ def _patterns(spec):
                 )
         return out
     return []
-
-
-def _partitions(total, largest=None, prefix=()):
-    largest = largest or total
-    if total == 0:
-        yield prefix
-        return
-    for part in range(min(largest, total), 0, -1):
-        yield from _partitions(total - part, part, prefix + (part,))
 
 
 def _stable_key(g):
@@ -386,14 +377,18 @@ def report_to_csv(report):
     return buf.getvalue()
 
 
+def render_report(report, fmt):
+    """The report as JSON or CSV text."""
+    if fmt == "json":
+        return report_to_json(report)
+    if fmt == "csv":
+        return report_to_csv(report)
+    raise ParameterError(f"unknown report format {fmt!r}")
+
+
 def write_report(report, fmt, path):
     """Serialize a report deterministically (stable field order)."""
-    if fmt == "json":
-        payload = report_to_json(report)
-    elif fmt == "csv":
-        payload = report_to_csv(report)
-    else:
-        raise ParameterError(f"unknown report format {fmt!r}")
+    payload = render_report(report, fmt)
     try:
         with open(path, "w") as fh:
             fh.write(payload)

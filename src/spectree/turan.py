@@ -74,15 +74,20 @@ def edge_threshold_S_plus(n, k):
     return k * n - k * (k + 1) // 2 + 1
 
 
+def partitions(total, largest=None, prefix=()):
+    """The partitions of total into positive parts, each as a tuple of
+    parts in falling order, in reverse lexicographic order."""
+    largest = largest or total
+    if total == 0:
+        yield prefix
+        return
+    for part in range(min(largest, total), 0, -1):
+        yield from partitions(total - part, part, prefix + (part,))
+
+
 def three_leg_spiders(t):
     """All t-vertex spiders with three legs: partitions of t-1 into 3 parts."""
-    out = []
-    for a in range(1, t - 2):
-        for b in range(1, a + 1):
-            c = t - 1 - a - b
-            if 1 <= c <= b:
-                out.append(Spider(a, b, c))
-    return sorted(set(out), key=lambda s: s.legs)
+    return [Spider(*legs) for legs in sorted(p for p in partitions(t - 1) if len(p) == 3)]
 
 
 @lru_cache(maxsize=16)

@@ -48,6 +48,37 @@ def labeled_tree_from_pruefer(seq, t):
     return Graph.from_edges(t, edges)
 
 
+def ahu_tree_code(g):
+    """AHU code of a tree, invariant under relabelling: the sorted nested
+    parenthesis strings of the tree rooted at its centre or centres."""
+    n = g.n
+    if n <= 2:
+        return ("()",) if n == 1 else ("(())",)
+    # find centres by leaf stripping
+    deg = list(g.degrees())
+    alive = set(range(n))
+    leaves = [v for v in alive if deg[v] <= 1]
+    while len(alive) > 2:
+        nxt = []
+        for v in leaves:
+            alive.discard(v)
+            for w in g.neighbors(v):
+                if w in alive:
+                    deg[w] -= 1
+                    if deg[w] == 1:
+                        nxt.append(w)
+        leaves = nxt
+    centres = sorted(alive)
+
+    def rooted(v, parent):
+        return "(" + "".join(sorted(rooted(w, v) for w in g.neighbors(v) if w != parent)) + ")"
+
+    if len(centres) == 1:
+        return (rooted(centres[0], None),)
+    a, b = centres
+    return tuple(sorted((rooted(a, b), rooted(b, a))))
+
+
 def brute_force_linear_forest(host, lengths, anchor_set=None):
     """Whether vertex-disjoint paths of the given vertex counts exist, each
     with an end-vertex in anchor_set when it is given.  Tries every ordered

@@ -11,6 +11,7 @@ from spectree.graphs import (
     Path,
     Spider,
     build_family,
+    canonical_key,
     decode_graph6,
     encode_graph6,
 )
@@ -172,6 +173,9 @@ class TestSubcommands:
         assert main(["enumerate", "trees", "--n", "7"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 11
+        # each tree is printed in its canonical labelling, in key order
+        assert lines == sorted(lines)
+        assert all(canonical_key(decode_graph6(line)) == line for line in lines)
 
     def test_enumerate_connected(self, capsys):
         assert main(["enumerate", "graphs", "--n", "5", "--connected"]) == 0

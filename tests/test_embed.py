@@ -25,6 +25,7 @@ from spectree.graphs import (
     canonical_key,
     decode_graph6,
     empty_graph,
+    encode_graph6,
 )
 from spectree import embed, harness
 from spectree.enumeration import all_graphs, perturb_extremal
@@ -43,6 +44,7 @@ from spectree.embed import (
     proof_guided_spider_embed,
 )
 from oracles import (
+    ahu_tree_code,
     brute_force_contains,
     brute_force_linear_forest,
     brute_force_longest_paths,
@@ -414,11 +416,23 @@ class TestLongestPath:
 
 
 class TestTreeGeneration:
+    # non-isomorphic free trees on 2..12 vertices (OEIS A000055)
+    COUNTS = [1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
+
     def test_counts(self):
-        # non-isomorphic free trees: 1, 1, 2, 3, 6, 11, 23 for orders 2..8
-        assert [len(all_trees_of_order(t)) for t in range(2, 9)] == [
-            1, 1, 2, 3, 6, 11, 23,
-        ]
+        assert [len(all_trees_of_order(t)) for t in range(2, 13)] == self.COUNTS
+
+    @pytest.mark.parametrize("t", range(2, 13))
+    def test_distinct_by_ahu_oracle(self, t):
+        trees = all_trees_of_order(t)
+        assert all(is_tree(g) and g.n == t for g in trees)
+        assert len({ahu_tree_code(g) for g in trees}) == len(trees)
+
+    @pytest.mark.parametrize("t", range(2, 13))
+    def test_canonically_labelled_in_key_order(self, t):
+        keys = [encode_graph6(g) for g in all_trees_of_order(t)]
+        assert keys == [canonical_key(g, cap=12) for g in all_trees_of_order(t)]
+        assert keys == sorted(keys)
 
     def test_all_are_trees_distinct(self):
         trees = all_trees_of_order(7)
@@ -488,6 +502,24 @@ class TestProofGuidedSpider:
         assert out is not None
         emb, trace = out
         assert trace.branch == "case2_subcase1_Lu"
+        assert trace.notes == []
+        assert is_valid_embedding(g, build_family(spider), emb)
+
+    @pytest.mark.parametrize(
+        "host6, spider, k",
+        [
+            ("I????B~~w", Spider(1, 1, 1, 3), 2),
+            ("K??????~~~~~", Spider(1, 1, 1, 2, 3), 3),
+        ],
+    )
+    def test_bipartite_route(self, host6, spider, k):
+        # S_{n,k} with its hubs last: every walk sum is 0, so u = 0 has
+        # degree k, and the spider's two colour classes go onto the hubs
+        # and their common neighbours
+        g = decode_graph6(host6)
+        assert g.degree(0) == k
+        emb, trace = proof_guided_spider_embed(g, spider, k)
+        assert trace.branch == "case1_bipartite"
         assert trace.notes == []
         assert is_valid_embedding(g, build_family(spider), emb)
 

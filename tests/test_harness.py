@@ -1,7 +1,9 @@
+import csv
 import dataclasses
 import functools
 import hashlib
 import importlib.util
+import io
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -218,6 +220,18 @@ class TestExactThreshold:
         connected = [decode_graph6(v["key"]).is_connected() for v in report_n8.violations]
         assert sum(connected) == 6
 
+    def test_n8_violations_name_their_missing_trees(self, report_n8):
+        # each missing pattern is named by the canonical graph6 key of a
+        # tree of order 6, and the permutation oracle confirms its absence
+        for v in report_n8.violations:
+            host = decode_graph6(v["key"])
+            assert v["missing"] == sorted(set(v["missing"])), v["key"]
+            for name in v["missing"]:
+                tree = decode_graph6(name)
+                assert tree.n == 6 and tree.e == 5 and tree.is_connected(), name
+                assert canonical_key(tree) == name
+                assert brute_force_contains(host, tree) is None, (v["key"], name)
+
     def test_n8_equalities_against_oracle(self, report_n8):
         q = charpoly(split_quotient(CompleteSplit(8, 2)))
         equal = [
@@ -334,6 +348,20 @@ class TestReports:
         lines = report_to_csv(report).splitlines()
         assert lines[0].startswith("n,index,key,mu,")
         assert len(lines) == 1 + len(report.verdicts)
+
+    def test_render_report(self):
+        # conjecture_a, k=2, n=5 has violations, so `missing` is non-empty
+        report = run_campaign(small_spec(n_min=5, n_max=5))
+        assert harness.render_report(report, "json") == report_to_json(report)
+        text = harness.render_report(report, "csv")
+        assert text == report_to_csv(report)
+        # ";" lies outside the graph6 alphabet, so the CSV join splits back
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert any(v["missing"] for v in report.verdicts)
+        for row, v in zip(rows, report.verdicts):
+            assert (row["missing"].split(";") if row["missing"] else []) == v["missing"]
+        with pytest.raises(ParameterError):
+            harness.render_report(report, "xml")
 
     def test_write_deterministic(self, tmp_path):
         report = run_campaign(small_spec(n_min=5, n_max=5))
