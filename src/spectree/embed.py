@@ -22,6 +22,7 @@ from .graphs import (
     build_family,
     canonical_key,
     decode_graph6,
+    twin_classes,
 )
 from .spectral import walk_sum_B_u
 
@@ -405,7 +406,9 @@ def all_trees_of_order(t, cap=12):
     """All pairwise non-isomorphic free trees on t vertices, each labelled
     canonically and listed in canonical-key order, so encode_graph6(tree)
     is its identity.  Generated by leaf augmentation deduplicated by
-    canonical_key; each level is the sorted set of keys.  Cached per t."""
+    canonical_key; each level is the sorted set of keys.  A leaf hung on
+    one vertex of a twin class gives the same tree as on any other, so
+    each parent gets one child per twin class.  Cached per t."""
     if not 2 <= t <= cap:
         raise CapExceededError(f"tree generation supports 2 <= t <= {cap}, got {t}")
     level = [canonical_key(Graph.from_edges(1, []))]
@@ -413,7 +416,7 @@ def all_trees_of_order(t, cap=12):
         nxt = set()
         for key in level:
             g = decode_graph6(key)
-            for v in range(g.n):
+            for v, *_ in twin_classes(g.rows, range(g.n)):
                 nxt.add(canonical_key(Graph.from_edges(m, g.edges() + [(v, g.n)]), cap=cap))
         level = sorted(nxt)
     return tuple(decode_graph6(key) for key in level)

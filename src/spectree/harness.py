@@ -16,7 +16,7 @@ import json
 import time
 from dataclasses import dataclass, asdict
 from functools import partial
-from itertools import chain
+from itertools import chain, islice
 
 from . import __version__
 from .errors import ParameterError
@@ -37,7 +37,7 @@ from .spectral import (
     bound_edges,
     bound_min_degree,
     charpoly,
-    spectral_radius,
+    spectral_radii,
     split_quotient,
 )
 from .embed import all_trees_of_order, contains_tree
@@ -52,6 +52,12 @@ SCHEMA_VERSION = 1
 # the exact value, and LargestRoot holds theta to within 2^-51 relative:
 # both errors are far below this.
 FLOAT_MARGIN = 1e-9
+
+# Matrix entries per stacked eigh: a campaign hands its checker n-vertex
+# graphs in chunks of max(1, MU_BATCH_ENTRIES // n^2), 256 graphs at
+# n = 8.  Bounding entries rather than graphs keeps the stack's transient
+# arrays small at every order.
+MU_BATCH_ENTRIES = 1 << 14
 
 CAMPAIGNS = (
     "conjecture_a",
@@ -198,10 +204,18 @@ def _stable_key(g):
     return encode_graph6(g)
 
 
+def _chunks(stream, n):
+    """The (index, key, graph) stream of order n in lists of at most
+    max(1, MU_BATCH_ENTRIES // n^2) items."""
+    size = max(1, MU_BATCH_ENTRIES // (n * n))
+    while chunk := list(islice(stream, size)):
+        yield chunk
+
+
 def run_campaign(spec):
-    """Run one campaign.  Graphs are checked as they are generated; each
-    order's verdicts are then sorted by (key, index), so the report lists
-    them in (n, key, index) order."""
+    """Run one campaign.  Graphs are checked in chunks as they are
+    generated; each order's verdicts are then sorted by (key, index), so
+    the report lists them in (n, key, index) order."""
     spec.validate()
     t_start = time.perf_counter()
     patterns = _patterns(spec)
@@ -210,11 +224,11 @@ def run_campaign(spec):
     for n in range(spec.n_min, spec.n_max + 1):
         check = None
         rows = []
-        for index, key, g in _graph_stream(spec, n):
-            # chosen at the first graph, so an order without graphs needs
+        for chunk in _chunks(_graph_stream(spec, n), n):
+            # chosen at the first chunk, so an order without graphs needs
             # no threshold
             check = check or _checker(spec, n, patterns)
-            rows.append(check(index, key, g))
+            rows += check(chunk)
         rows.sort(key=lambda v: (v["key"], v["index"]))
         per_n_violations[n] = sum(v["violation"] for v in rows)
         verdicts += rows
@@ -266,13 +280,25 @@ def _verdict(index, n, key, mu, classification, missing=None, advisory=False):
     }
 
 
+def _with_mu(verdict):
+    """The chunk form of a verdict (index, key, graph, mu) -> row: one
+    stacked eigh gives mu for the whole chunk."""
+
+    def check(chunk):
+        results = spectral_radii([g for _, _, g in chunk])
+        return [verdict(*item, res.mu) for item, res in zip(chunk, results)]
+
+    return check
+
+
 def _checker(spec, n, patterns):
-    """The verdict function (index, key, graph) -> row for order n, with
-    the threshold, the exceptional-graph test and the patterns bound."""
+    """The verdict function [(index, key, graph)] -> [row] for a chunk of
+    order-n graphs, with the threshold, the exceptional-graph test and the
+    patterns bound."""
     k = spec.k
     c = spec.campaign
     if c == "lemma_suite":
-        return partial(_lemma_suite_verdict, n)
+        return _with_mu(partial(_lemma_suite_verdict, n))
 
     def missing(g):
         return [
@@ -290,7 +316,7 @@ def _checker(spec, n, patterns):
                 return _verdict(index, n, key, None, "non_qualifying")
             return _verdict(index, n, key, None, "qualifying", missing(g))
 
-        return broom_turan
+        return lambda chunk: [broom_turan(*item) for item in chunk]
 
     if c == "conjecture_b":
         family, exceptional = CompleteSplitPlus(n, k), is_complete_split_plus
@@ -300,8 +326,7 @@ def _checker(spec, n, patterns):
     margin = FLOAT_MARGIN * max(1.0, theta.value)
     advisory = c == "genbroom_explore"
 
-    def mu_campaign(index, key, g):
-        mu = spectral_radius(g).mu
+    def mu_campaign(index, key, g, mu):
         if abs(mu - theta.value) > margin:
             qualifies = mu > theta.value
         elif exceptional(g, k):
@@ -312,10 +337,10 @@ def _checker(spec, n, patterns):
             return _verdict(index, n, key, mu, "qualifying", missing(g), advisory)
         return _verdict(index, n, key, mu, "non_qualifying")
 
-    return mu_campaign
+    return _with_mu(mu_campaign)
 
 
-def _lemma_suite_verdict(n, index, key, g):
+def _lemma_suite_verdict(n, index, key, g, mu):
     failures = []
     verd = check_lemma(g, "sum_longest_path")
     if verd.violation:
@@ -324,7 +349,6 @@ def _lemma_suite_verdict(n, index, key, g):
         verd = check_lemma(g, "spider3_erdos_sos", t=t)
         if verd.violation:
             failures.append(f"spider3_t{t}")
-    mu = spectral_radius(g).mu
     if mu > bound_edges(g.e) + 1e-9:
         failures.append("edge_bound")
     delta = min(g.degrees()) if g.n else 0

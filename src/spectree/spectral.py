@@ -30,38 +30,63 @@ class SpectralResult:
     residual: float
 
 
+def _adjacency_stack(graphs, dtype=float):
+    """The (m, n, n) stack of the graphs' adjacency matrices, unpacked
+    from the bitset rows: row v of a graph is rows[v] as n little-endian
+    bits."""
+    n = graphs[0].n
+    width = (n + 7) // 8
+    packed = b"".join(r.to_bytes(width, "little") for g in graphs for r in g.rows)
+    bits = np.unpackbits(
+        np.frombuffer(packed, np.uint8).reshape(-1, width), axis=1, count=n, bitorder="little"
+    )
+    return bits.reshape(len(graphs), n, n).astype(dtype)
+
+
 def adjacency_matrix(g, dtype=float):
-    a = np.zeros((g.n, g.n), dtype=dtype)
-    for u, v in g.edges():
-        a[u, v] = 1
-        a[v, u] = 1
-    return a
+    return _adjacency_stack([g], dtype)[0]
 
 
-def spectral_radius(g, tol=DEFAULT_TOL):
-    """Largest eigenvalue of the adjacency matrix.
+def spectral_radii(graphs, tol=DEFAULT_TOL):
+    """Largest adjacency eigenvalue of each of the graphs, which must all
+    have the same order n >= 1, as a list of SpectralResult.
 
-    One LAPACK ``eigh`` on the whole matrix: a disconnected graph's matrix
-    is block-diagonal, so this is already the largest over its components.
-    The reported residual is the infinity norm ||Av - mu v|| of the
-    returned unit eigenvector; a residual above tol * max(1, mu) raises
-    ConvergenceError carrying the result as ``best``.
+    One LAPACK ``eigh`` on the stack of adjacency matrices: a disconnected
+    graph's matrix is block-diagonal, so its value is already the largest
+    over its components.  Each reported residual is the infinity norm
+    ||Av - mu v|| of the returned unit eigenvector; the first graph whose
+    residual exceeds tol * max(1, mu) raises ConvergenceError carrying its
+    result as ``best``.
     """
-    if g.n == 0:
+    graphs = list(graphs)
+    orders = {g.n for g in graphs}
+    if len(orders) > 1:
+        raise ParameterError(f"a batch needs one order, got {sorted(orders)}")
+    if 0 in orders:
         raise ParameterError("spectral radius undefined for the empty graph")
     if tol <= 0:
         raise ParameterError("tol must be positive")
-    a = adjacency_matrix(g)
+    if not graphs:
+        return []
+    a = _adjacency_stack(graphs)
     w, v = np.linalg.eigh(a)
-    mu = float(w[-1])
-    x = v[:, -1]
-    res = SpectralResult(mu, float(np.max(np.abs(a @ x - mu * x))))
-    if res.residual > tol * max(1.0, mu):
+    mu = w[:, -1]
+    x = v[:, :, -1:]
+    residual = np.abs(a @ x - mu[:, None, None] * x).max(axis=(1, 2))
+    results = [SpectralResult(m, r) for m, r in zip(mu.tolist(), residual.tolist())]
+    (bad,) = np.nonzero(residual > tol * np.maximum(1.0, mu))
+    if bad.size:
+        res = results[bad[0]]
         raise ConvergenceError(
             f"eigh residual {res.residual:.3e} > tol {tol:.3e} * max(1, mu)",
             best=res,
         )
-    return res
+    return results
+
+
+def spectral_radius(g, tol=DEFAULT_TOL):
+    """spectral_radii of the one graph g."""
+    return spectral_radii([g], tol)[0]
 
 
 # -- closed forms and bounds ----------------------------------------------

@@ -324,3 +324,17 @@ def exact_mu_sign(g, q):
     if above_lo - above_hi == nullity // (len(m) - 1):
         return 0
     raise AssertionError(f"eigenvalues within 1e-9 of theta other than theta in {g!r}")
+
+
+def edge_list_adjacency(g, dtype=float):
+    """Adjacency matrix of g set entry by entry from g.edges()."""
+    a = np.zeros((g.n, g.n), dtype=dtype)
+    for u, v in g.edges():
+        a[u, v] = a[v, u] = 1
+    return a
+
+
+def eigh_mu(g):
+    """Largest adjacency eigenvalue of g by one np.linalg.eigh on the
+    edge-list matrix, graph by graph."""
+    return float(np.linalg.eigh(edge_list_adjacency(g))[0][-1])

@@ -434,6 +434,46 @@ class TestTreeGeneration:
         assert keys == [canonical_key(g, cap=12) for g in all_trees_of_order(t)]
         assert keys == sorted(keys)
 
+    # sha256 of the "\n"-joined canonical keys of each order, in the order
+    # returned, as generated with one child per (tree, vertex) pair
+    KEYS = {
+        2: "ada8d598e51a0bf0",
+        3: "c690f114c997123e",
+        4: "5dc0d3070f07599b",
+        5: "e01f5f5cfa1fbed3",
+        6: "5db8928c5eda52d2",
+        7: "cbde6bcfa1c8d068",
+        8: "27b7d6405e3cf976",
+        9: "1a3e77fd658ada3f",
+        10: "a3120b62cb4d9ab2",
+        11: "116457c3123b9dec",
+        12: "381b154108952741",
+    }
+
+    @pytest.mark.parametrize("t", range(2, 13))
+    def test_pinned_keys(self, t):
+        keys = "\n".join(encode_graph6(g) for g in all_trees_of_order(t))
+        assert hashlib.sha256(keys.encode()).hexdigest()[:16] == self.KEYS[t]
+
+    def test_one_child_per_twin_class(self, monkeypatch):
+        # a leaf hung on either of two twins gives the same tree, so order
+        # 12 takes 3,503 canonical_key calls (one per twin class of every
+        # tree on 1..11 vertices, plus the 1-vertex seed), not 4,395
+        calls = []
+
+        def counting(g, *args, **kwargs):
+            calls.append(g.n)
+            return canonical_key(g, *args, **kwargs)
+
+        all_trees_of_order.cache_clear()
+        monkeypatch.setattr(embed, "canonical_key", counting)
+        try:
+            trees = all_trees_of_order(12)
+        finally:
+            all_trees_of_order.cache_clear()
+        assert len(trees) == 551
+        assert len(calls) == 3503
+
     def test_all_are_trees_distinct(self):
         trees = all_trees_of_order(7)
         assert all(is_tree(t) for t in trees)

@@ -23,7 +23,7 @@ from spectree.graphs import (
 )
 from spectree.embed import all_trees_of_order
 from spectree.enumeration import all_graphs
-from spectree.spectral import LargestRoot, charpoly, spectral_radius, split_quotient
+from spectree.spectral import LargestRoot, charpoly, spectral_radii, split_quotient
 from spectree import harness
 from spectree.harness import (
     CAMPAIGNS,
@@ -36,7 +36,21 @@ from spectree.harness import (
     write_report,
 )
 
-from oracles import brute_force_contains, exact_mu_sign
+from oracles import brute_force_contains, eigh_mu, exact_mu_sign
+
+
+def count_mu_graphs(monkeypatch):
+    """Make harness.spectral_radii record the canonical key of every graph
+    it is given; returns the list it appends to."""
+    seen = []
+
+    def counting(graphs, *args, **kwargs):
+        graphs = list(graphs)
+        seen.extend(canonical_key(g) for g in graphs)
+        return spectral_radii(graphs, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "spectral_radii", counting)
+    return seen
 
 
 def small_spec(**kw):
@@ -97,16 +111,12 @@ class TestMuCampaign:
         assert all(v["missing"] for v in report.violations)
 
     def test_one_spectral_radius_call_per_graph(self, monkeypatch):
-        # bench/spans.py times mu by wrapping this module attribute
-        calls = []
-
-        def counting(g, *args, **kwargs):
-            calls.append(g)
-            return spectral_radius(g, *args, **kwargs)
-
-        monkeypatch.setattr(harness, "spectral_radius", counting)
+        # every scanned graph passes through the batch exactly once
+        seen = count_mu_graphs(monkeypatch)
         report = run_campaign(small_spec(n_min=5, n_max=5))
-        assert len(calls) == report.totals["graphs_scanned"] == 34
+        assert len(seen) == report.totals["graphs_scanned"] == 34
+        assert sorted(seen) == sorted(v["key"] for v in report.verdicts)
+        assert len(set(seen)) == 34
 
     def test_violations_carry_witness_keys(self):
         # e.g. the octahedron qualifies but has max degree 4, so the 5-star
@@ -220,6 +230,14 @@ class TestExactThreshold:
         connected = [decode_graph6(v["key"]).is_connected() for v in report_n8.violations]
         assert sum(connected) == 6
 
+    def test_n8_chunked_mu_against_oracle(self, report_n8):
+        # 12,346 graphs run through the checker in many chunks; each row's
+        # mu is the per-graph edge-list eigh value
+        assert 12346 // (harness.MU_BATCH_ENTRIES // 64) >= 40
+        for v in report_n8.verdicts:
+            mu = eigh_mu(decode_graph6(v["key"]))
+            assert abs(v["mu"] - mu) <= 1e-14 * max(1.0, mu), v["key"]
+
     def test_n8_violations_name_their_missing_trees(self, report_n8):
         # each missing pattern is named by the canonical graph6 key of a
         # tree of order 6, and the permutation oracle confirms its absence
@@ -298,6 +316,13 @@ class TestOtherCampaigns:
         for v in report.verdicts:
             if v["classification"] == "qualifying" and not v["violation"]:
                 assert v["conclusion_holds"] is True
+
+    def test_broom_turan_computes_no_mu(self, monkeypatch):
+        seen = count_mu_graphs(monkeypatch)
+        report = run_campaign(small_spec(campaign="broom_turan", n_min=5, n_max=7))
+        assert report.totals["graphs_scanned"] == 34 + 156 + 1044
+        assert seen == []
+        assert all(v["mu"] is None for v in report.verdicts)
 
     def test_genbroom_explore_is_advisory(self):
         report = run_campaign(small_spec(campaign="genbroom_explore", n_min=7, n_max=7))

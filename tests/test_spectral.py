@@ -32,13 +32,14 @@ from spectree.spectral import (
     lemma1_certificate,
     mu_S_closed,
     mu_S_plus_bounds,
+    spectral_radii,
     spectral_radius,
     split_quotient,
     walk_sum_B_u,
 )
 from spectree.enumeration import all_graphs, random_graph
 
-from oracles import exact_mu_sign
+from oracles import edge_list_adjacency, eigh_mu, exact_mu_sign
 
 
 def jacobi_spectral_radius(g, sweeps=100, tol=1e-12):
@@ -189,6 +190,77 @@ class TestSpectralRadius:
             return
         u, v = rng.choice(non_edges)
         assert spectral_radius(g.with_edge(u, v)).mu >= spectral_radius(g).mu - 1e-9
+
+
+class TestSpectralRadii:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_all_graphs_against_oracle(self, n):
+        graphs = all_graphs(n)
+        results = spectral_radii(graphs)
+        assert len(results) == len(graphs)
+        for g, res in zip(graphs, results):
+            mu = eigh_mu(g)
+            assert abs(res.mu - mu) <= 1e-14 * max(1.0, mu)
+            assert res.residual <= 1e-10 * max(1.0, mu)
+
+    def test_path_200_batch(self):
+        # orders above 64 need more than one word per row
+        g = build_family(Path(200))
+        (res,) = spectral_radii([g])
+        assert abs(res.mu - 2 * math.cos(math.pi / 201)) <= 1e-12
+        assert np.array_equal(adjacency_matrix(g), edge_list_adjacency(g))
+
+    def test_random_70_vertex_graphs(self):
+        graphs = [random_graph(70, p=0.3, seed=seed) for seed in (70, 71, 72)]
+        for g, res in zip(graphs, spectral_radii(graphs)):
+            mu = eigh_mu(g)
+            assert abs(res.mu - mu) <= 1e-14 * mu
+            assert np.array_equal(adjacency_matrix(g), edge_list_adjacency(g))
+
+    def test_convergence_error_names_the_failing_graph(self):
+        # an edgeless graph has residual exactly 0, so under a tiny tol
+        # only the path fails, and the error carries the path's result
+        path = build_family(Path(30))
+        with pytest.raises(ConvergenceError) as exc:
+            spectral_radii([empty_graph(30), path, empty_graph(30)], tol=1e-300)
+        assert exc.value.best.mu == pytest.approx(2 * math.cos(math.pi / 31), abs=1e-12)
+        assert exc.value.best.residual > 0
+
+    def test_mixed_orders_rejected(self):
+        with pytest.raises(ParameterError):
+            spectral_radii([build_family(Path(4)), build_family(Path(5))])
+
+    def test_empty_graph_rejected(self):
+        with pytest.raises(ParameterError):
+            spectral_radii([Graph(0, (), 0)])
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10])
+    def test_nonpositive_tol_rejected(self, tol):
+        with pytest.raises(ParameterError):
+            spectral_radii([build_family(Path(4))], tol=tol)
+        with pytest.raises(ParameterError):
+            spectral_radius(build_family(Path(4)), tol=tol)
+
+
+class TestAdjacencyMatrix:
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("dtype", [float, np.int64])
+    def test_against_edge_list_oracle(self, n, dtype):
+        for g in all_graphs(n):
+            a = adjacency_matrix(g, dtype=dtype)
+            assert a.dtype == dtype
+            assert np.array_equal(a, edge_list_adjacency(g, dtype=dtype))
+
+    def test_certificates_from_the_edge_list_matrix(self):
+        # lemma1_certificate's column sums of A^2 - aA - bI, recomputed on
+        # the oracle matrix
+        for n in range(2, 7):
+            for g in all_graphs(n, connected_only=True):
+                a = edge_list_adjacency(g, dtype=np.int64)
+                for x, y in [(0, 1), (1, 2), (2, n)]:
+                    sums = (a @ a - x * a - y * np.eye(n, dtype=np.int64)).sum(axis=0)
+                    cert = lemma1_certificate(g, x, y)
+                    assert cert.column_sums == tuple(int(s) for s in sums)
 
 
 class TestClosedForm:
