@@ -19,7 +19,7 @@ from functools import partial
 from itertools import chain, islice
 
 from . import __version__
-from .errors import ParameterError
+from .errors import BudgetExceededError, ParameterError
 from .graphs import (
     Broom,
     CompleteSplit,
@@ -96,6 +96,14 @@ class CampaignSpec:
             raise ParameterError(f"k must be >= 2, got {self.k}")
         if self.n_min > self.n_max or self.n_min < 1:
             raise ParameterError(f"bad n range [{self.n_min}, {self.n_max}]")
+        if self.campaign not in ("lemma_suite", "broom_turan"):
+            family = "S+_{n,k}" if self.campaign == "conjecture_b" else "S_{n,k}"
+            smallest = self.k + 1 + (self.campaign == "conjecture_b")
+            if self.n_min < smallest:
+                raise ParameterError(
+                    f"{self.campaign} compares with mu({family}), which needs "
+                    f"n >= {smallest} for k={self.k}; got n_min={self.n_min}"
+                )
         src = self.source
         if src.kind in ("random", "perturbation") and src.count < 1:
             raise ParameterError(f"a {src.kind} source needs count >= 1, got {src.count}")
@@ -117,14 +125,15 @@ class VerificationReport:
 
 
 def _graph_stream(spec, n):
-    """Deterministic (index, key, graph) stream for one order, generated
-    lazily.  Exhaustive graphs are decoded from their canonical graph6
-    keys, so the key comes with the graph; sampled graphs get theirs from
-    `_stable_key`, and their keys can repeat."""
+    """Deterministic (index, key, graph, parent) stream for one order,
+    generated lazily.  Exhaustive graphs come with their canonical graph6
+    keys and the index of their enumeration parent on n - 1 vertices;
+    sampled graphs get their keys from `_stable_key`, which can repeat,
+    and parent None."""
     src = spec.source
     if src.kind == "exhaustive":
-        for i, (key, g) in enumerate(keyed_graphs(n)):
-            yield i, key, g
+        for i, item in enumerate(keyed_graphs(n)):
+            yield i, *item
         return
     if src.kind == "random":
         graphs = (
@@ -153,7 +162,7 @@ def _graph_stream(spec, n):
     else:
         raise ParameterError(f"unknown source kind {src.kind!r}")
     for i, g in enumerate(graphs):
-        yield i, _stable_key(g), g
+        yield i, _stable_key(g), g, None
 
 
 def _patterns(spec):
@@ -205,7 +214,7 @@ def _stable_key(g):
 
 
 def _chunks(stream, n):
-    """The (index, key, graph) stream of order n in lists of at most
+    """The (index, key, graph, parent) stream of order n in lists of at most
     max(1, MU_BATCH_ENTRIES // n^2) items."""
     size = max(1, MU_BATCH_ENTRIES // (n * n))
     while chunk := list(islice(stream, size)):
@@ -218,16 +227,13 @@ def run_campaign(spec):
     the report lists them in (n, key, index) order."""
     spec.validate()
     t_start = time.perf_counter()
-    patterns = _patterns(spec)
+    missing = _missing_sets(spec, _patterns(spec))
     verdicts = []
     per_n_violations = {}
     for n in range(spec.n_min, spec.n_max + 1):
-        check = None
+        check = _checker(spec, n, missing)
         rows = []
         for chunk in _chunks(_graph_stream(spec, n), n):
-            # chosen at the first chunk, so an order without graphs needs
-            # no threshold
-            check = check or _checker(spec, n, patterns)
             rows += check(chunk)
         rows.sort(key=lambda v: (v["key"], v["index"]))
         per_n_violations[n] = sum(v["violation"] for v in rows)
@@ -280,41 +286,86 @@ def _verdict(index, n, key, mu, classification, missing=None, advisory=False):
     }
 
 
+def _missing_sets(spec, patterns):
+    """The function (n, index, graph, parent) -> names of the patterns the
+    graph does not contain, in pattern order, for one run_campaign call.
+
+    An exhaustive graph contains its enumeration parent (the graph minus a
+    maximum-degree vertex), so it contains every tree the parent contains:
+    only the patterns in the parent's missing set are tested.  That set is
+    looked up in a memo that lives as long as this function, or computed by
+    the same rule when the parent was not scanned or did not qualify; below
+    the smallest pattern order every pattern is missing.  The sets of the
+    last order are never read, so they are not kept.  A sampled graph
+    (parent None) is tested against every pattern."""
+    memo = {}
+    orders = {}
+    smallest = min((pat.n for _, pat in patterns), default=0)
+
+    def absent(g, candidates, strict=True):
+        out = []
+        for name, pat in candidates:
+            try:
+                if pat.n > g.n or contains_tree(g, pat, budget=spec.budget) is None:
+                    out.append((name, pat))
+            except BudgetExceededError:
+                # an ancestor's set may keep an undecided pattern: its
+                # descendants test that pattern themselves
+                if strict:
+                    raise
+                out.append((name, pat))
+        return tuple(out)
+
+    def inherited(n, parent):
+        """The missing set of class `parent` on n - 1 vertices."""
+        if parent is None or n - 1 < smallest:
+            return patterns
+        found = memo.get((n - 1, parent))
+        if found is None:
+            if n - 1 not in orders:
+                orders[n - 1] = list(keyed_graphs(n - 1))
+            _, g, grandparent = orders[n - 1][parent]
+            found = absent(g, inherited(n - 1, grandparent), strict=False)
+            memo[n - 1, parent] = found
+        return found
+
+    def missing(n, index, g, parent):
+        found = absent(g, inherited(n, parent))
+        if parent is not None and n < spec.n_max:
+            memo[n, index] = found
+        return [name for name, _ in found]
+
+    return missing
+
+
 def _with_mu(verdict):
-    """The chunk form of a verdict (index, key, graph, mu) -> row: one
-    stacked eigh gives mu for the whole chunk."""
+    """The chunk form of a verdict (index, key, graph, parent, mu) -> row:
+    one stacked eigh gives mu for the whole chunk."""
 
     def check(chunk):
-        results = spectral_radii([g for _, _, g in chunk])
+        results = spectral_radii([item[2] for item in chunk])
         return [verdict(*item, res.mu) for item, res in zip(chunk, results)]
 
     return check
 
 
-def _checker(spec, n, patterns):
-    """The verdict function [(index, key, graph)] -> [row] for a chunk of
-    order-n graphs, with the threshold, the exceptional-graph test and the
-    patterns bound."""
+def _checker(spec, n, missing):
+    """The verdict function [(index, key, graph, parent)] -> [row] for a
+    chunk of order-n graphs, with the threshold, the exceptional-graph test
+    and the campaign's `_missing_sets` function bound."""
     k = spec.k
     c = spec.campaign
     if c == "lemma_suite":
         return _with_mu(partial(_lemma_suite_verdict, n))
 
-    def missing(g):
-        return [
-            name
-            for name, pat in patterns
-            if pat.n > g.n or contains_tree(g, pat, budget=spec.budget) is None
-        ]
-
     if c == "broom_turan":
         edges = edge_threshold_S_plus(n, k) if n >= k + 2 else None
 
-        def broom_turan(index, key, g):
+        def broom_turan(index, key, g, parent):
             # advisory at small n; thresholds reported
             if edges is None or g.e < edges or not g.is_connected():
                 return _verdict(index, n, key, None, "non_qualifying")
-            return _verdict(index, n, key, None, "qualifying", missing(g))
+            return _verdict(index, n, key, None, "qualifying", missing(n, index, g, parent))
 
         return lambda chunk: [broom_turan(*item) for item in chunk]
 
@@ -326,7 +377,7 @@ def _checker(spec, n, patterns):
     margin = FLOAT_MARGIN * max(1.0, theta.value)
     advisory = c == "genbroom_explore"
 
-    def mu_campaign(index, key, g, mu):
+    def mu_campaign(index, key, g, parent, mu):
         if abs(mu - theta.value) > margin:
             qualifies = mu > theta.value
         elif exceptional(g, k):
@@ -334,13 +385,15 @@ def _checker(spec, n, patterns):
         else:
             qualifies = theta.compare(g) >= 0
         if qualifies:
-            return _verdict(index, n, key, mu, "qualifying", missing(g), advisory)
+            return _verdict(
+                index, n, key, mu, "qualifying", missing(n, index, g, parent), advisory
+            )
         return _verdict(index, n, key, mu, "non_qualifying")
 
     return _with_mu(mu_campaign)
 
 
-def _lemma_suite_verdict(n, index, key, g, mu):
+def _lemma_suite_verdict(n, index, key, g, parent, mu):
     failures = []
     verd = check_lemma(g, "sum_longest_path")
     if verd.violation:

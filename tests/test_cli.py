@@ -52,6 +52,13 @@ class TestExitCodes:
         g6 = encode_graph6(build_family(CompleteSplit(12, 2)))
         assert main(["contains", g6, "path:5", "--budget", "0"]) == 3
 
+    def test_verify_range_below_threshold_family(self, capsys, tmp_path):
+        # mu(S_{1,2}) does not exist: rejected before any graph is scanned
+        out = tmp_path / "r.json"
+        code = main(["verify", "theorem_spider", "--k", "2", "--n", "1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: theorem_spider ")
+
     def test_verify_zero_on_clean_run(self, capsys, tmp_path):
         out = tmp_path / "r.json"
         code = main(

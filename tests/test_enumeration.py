@@ -13,12 +13,14 @@ from spectree.graphs import (
     Path,
     build_family,
     canonical_key,
+    decode_graph6,
     encode_graph6,
 )
 from spectree import enumeration
 from spectree.enumeration import (
     _ordered_keys,
     all_graphs,
+    keyed_graphs,
     perturb_extremal,
     random_graph,
 )
@@ -131,6 +133,39 @@ class TestAugmentation:
         counts = [len(_ordered_keys(n)) for n in range(1, 8)]
         assert counts == [1, 2, 4, 11, 34, 156, 1044]
         assert len(calls) <= 2088
+
+
+class TestParentLinks:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_parent_is_child_minus_a_max_degree_vertex(self, n):
+        parent_keys = [frozen_canonical_key(g) for g in all_graphs(n - 1)]
+        for key, g, parent in keyed_graphs(n):
+            degrees = g.degrees()
+            top = max(degrees)
+            assert any(
+                frozen_canonical_key(g.subgraph([u for u in range(n) if u != v])[0])
+                == parent_keys[parent]
+                for v in range(n)
+                if degrees[v] == top
+            ), key
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_graphs_are_the_decoded_keys(self, n):
+        assert all_graphs(n) == [decode_graph6(k) for k in _ordered_keys(n)]
+        assert [k for k, _, _ in keyed_graphs(n)] == _ordered_keys(n)
+        assert all(a is b for (_, a, _), b in zip(keyed_graphs(n), all_graphs(n)))
+
+    def test_returned_lists_are_fresh(self):
+        graphs = all_graphs(6)
+        assert all_graphs(6) is not graphs
+        assert all(a is b for a, b in zip(graphs, all_graphs(6)))
+        graphs.clear()
+        all_graphs(6, connected_only=True).clear()
+        assert len(all_graphs(6)) == 156
+        assert len(all_graphs(6, connected_only=True)) == 112
+
+    def test_first_order_has_no_parent(self):
+        assert list(keyed_graphs(1)) == [("@", Graph(1, (0,), 0), None)]
 
 
 class TestRandomGraph:

@@ -21,7 +21,7 @@ from spectree.graphs import (
     decode_graph6,
     encode_graph6,
 )
-from spectree.embed import all_trees_of_order
+from spectree.embed import all_trees_of_order, contains_tree
 from spectree.enumeration import all_graphs
 from spectree.spectral import LargestRoot, charpoly, spectral_radii, split_quotient
 from spectree import harness
@@ -86,6 +86,26 @@ class TestSpecValidation:
     def test_bad_sampled_source(self, source):
         with pytest.raises(ParameterError):
             small_spec(source=source).validate()
+
+    @pytest.mark.parametrize(
+        "campaign, k, n_min, smallest",
+        [
+            ("theorem_spider", 2, 1, 3),
+            ("conjecture_a", 2, 2, 3),
+            ("theorem_path", 3, 3, 4),
+            ("genbroom_explore", 2, 2, 3),
+            ("conjecture_b", 3, 4, 5),
+        ],
+    )
+    def test_range_below_the_threshold_family(self, campaign, k, n_min, smallest):
+        # mu(S_{n,k}) needs n >= k + 1 and mu(S+_{n,k}) needs n >= k + 2
+        with pytest.raises(ParameterError, match=f"n >= {smallest} "):
+            small_spec(campaign=campaign, k=k, n_min=n_min, n_max=8).validate()
+        small_spec(campaign=campaign, k=k, n_min=smallest, n_max=8).validate()
+
+    @pytest.mark.parametrize("campaign", ["lemma_suite", "broom_turan"])
+    def test_campaigns_without_threshold_start_at_one(self, campaign):
+        small_spec(campaign=campaign, k=3, n_min=1, n_max=2).validate()
 
 
 class TestMuCampaign:
@@ -301,6 +321,87 @@ class TestExactThreshold:
             campaign="conjecture_a", k=2, source="exhaustive", expected_scanned=12346
         )
         assert checks.check_report(workload, report_n8, checks.MuOracle()) == []
+
+
+def count_containment(monkeypatch):
+    """Make harness.contains_tree count its calls; returns the counter."""
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return contains_tree(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "contains_tree", counting)
+    return calls
+
+
+def plain_missing(g, patterns, budget=10**8):
+    """Names of the patterns g does not contain, each tested on its own."""
+    return [name for name, pat in patterns if contains_tree(g, pat, budget=budget) is None]
+
+
+class TestInheritedMissing:
+    # an exhaustive graph tests only the patterns its enumeration parent
+    # misses; these compare every qualifying row with an uninherited filter
+
+    @pytest.mark.parametrize("campaign, n_min", [("conjecture_a", 3), ("conjecture_b", 4)])
+    def test_range_against_oracles(self, campaign, n_min):
+        spec = small_spec(campaign=campaign, n_min=n_min, n_max=8)
+        patterns = harness._patterns(spec)
+        report = run_campaign(spec)
+        qualifying = [v for v in report.verdicts if v["classification"] == "qualifying"]
+        # K_{n_min} is the exceptional graph, and nothing else qualifies
+        assert {v["n"] for v in qualifying} == set(range(n_min + 1, 9))
+        for v in qualifying:
+            g = decode_graph6(v["key"])
+            if v["n"] <= 6:
+                expected = [
+                    name for name, pat in patterns if brute_force_contains(g, pat) is None
+                ]
+            else:
+                expected = plain_missing(g, patterns)
+            assert v["missing"] == expected, v["key"]
+
+    def test_single_order_n8_calls(self, monkeypatch, report_n8):
+        # the order-7 and order-6 parent sets are computed on demand; a
+        # fallback to testing all six trees would make 31,056 calls
+        calls = count_containment(monkeypatch)
+        report = run_campaign(small_spec(n_min=8, n_max=8))
+        assert 0 < calls[0] <= 9000
+        assert report.verdicts == report_n8.verdicts
+        patterns = harness._patterns(small_spec())
+        for v in report.verdicts:
+            if v["classification"] == "qualifying":
+                assert v["missing"] == plain_missing(decode_graph6(v["key"]), patterns)
+
+    def test_no_state_between_calls(self, monkeypatch):
+        calls = count_containment(monkeypatch)
+        spec = small_spec(n_min=7, n_max=7)
+        first = run_campaign(spec)
+        work = calls[0]
+        second = run_campaign(spec)
+        assert calls[0] == 2 * work > 0
+        assert first.verdicts == second.verdicts
+
+    def test_undecided_ancestor_is_tested_by_its_child(self):
+        # with a budget of 30 nodes some parents outside the scan exhaust
+        # their search; their children then test those patterns themselves,
+        # and the campaign completes as it does without inheritance
+        spec = small_spec(n_min=7, n_max=7, budget=30)
+        patterns = harness._patterns(spec)
+        report = run_campaign(spec)
+        for v in report.verdicts:
+            if v["classification"] == "qualifying":
+                g = decode_graph6(v["key"])
+                assert v["missing"] == plain_missing(g, patterns, budget=30), v["key"]
+
+    def test_sampled_graphs_test_every_pattern(self, monkeypatch):
+        calls = count_containment(monkeypatch)
+        spec = small_spec(n_min=7, n_max=7, source=Source("random", count=20, seed=4))
+        report = run_campaign(spec)
+        qualifying = [v for v in report.verdicts if v["classification"] == "qualifying"]
+        assert qualifying
+        assert calls[0] == 6 * len(qualifying)
 
 
 class TestOtherCampaigns:
