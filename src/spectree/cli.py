@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -155,12 +156,15 @@ def build_parser():
 
 
 def _check_out(path):
-    """Fail before any work when --out cannot be written."""
-    try:
-        with open(path, "a"):
-            pass
-    except OSError as exc:
-        raise ParameterError(f"cannot write {path}: {exc}") from exc
+    """Fail before any work when --out cannot be written.  The probe creates
+    nothing, so a command rejected later leaves no file behind."""
+    if os.path.exists(path):
+        writable = not os.path.isdir(path) and os.access(path, os.W_OK)
+    else:
+        folder = os.path.dirname(path) or "."
+        writable = os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)
+    if not writable:
+        raise ParameterError(f"cannot write {path}")
 
 
 def _emit(text, out):

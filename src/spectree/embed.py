@@ -28,6 +28,7 @@ from .spectral import walk_sum_B_u
 
 DEFAULT_BUDGET = 10**8
 LONGEST_PATH_CAP = 20
+TREE_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -344,7 +345,7 @@ def _set_patterns(n):
     return tuple(without), tuple(size)
 
 
-def longest_path_stats(g, cap=LONGEST_PATH_CAP):
+def longest_path_stats(g):
     """Exact per-vertex longest-path lengths by a layered subset DP, run on
     big-integer bitsets over the 2^n vertex sets.
 
@@ -355,8 +356,10 @@ def longest_path_stats(g, cap=LONGEST_PATH_CAP):
     w's layers.  The witness starts at the first argmax of p and steps to the
     smallest neighbour that ends a path of the length left on sets that miss
     the prefix."""
-    if g.n > cap:
-        raise CapExceededError(f"longest-path search capped at n={cap}, got {g.n}")
+    if g.n > LONGEST_PATH_CAP:
+        raise CapExceededError(
+            f"longest-path search capped at n={LONGEST_PATH_CAP}, got {g.n}"
+        )
     if g.n == 0:
         raise ParameterError("empty graph")
     n = g.n
@@ -402,22 +405,25 @@ def longest_path_stats(g, cap=LONGEST_PATH_CAP):
 
 
 @lru_cache(maxsize=16)
-def all_trees_of_order(t, cap=12):
+def all_trees_of_order(t):
     """All pairwise non-isomorphic free trees on t vertices, each labelled
     canonically and listed in canonical-key order, so encode_graph6(tree)
     is its identity.  Generated by leaf augmentation deduplicated by
     canonical_key; each level is the sorted set of keys.  A leaf hung on
     one vertex of a twin class gives the same tree as on any other, so
     each parent gets one child per twin class.  Cached per t."""
-    if not 2 <= t <= cap:
-        raise CapExceededError(f"tree generation supports 2 <= t <= {cap}, got {t}")
+    if t < 1:
+        raise ParameterError(f"t must be >= 1, got {t}")
+    if t > TREE_CAP:
+        raise CapExceededError(f"tree generation supports t <= {TREE_CAP}, got {t}")
     level = [canonical_key(Graph.from_edges(1, []))]
     for m in range(2, t + 1):
         nxt = set()
         for key in level:
             g = decode_graph6(key)
             for v, *_ in twin_classes(g.rows, range(g.n)):
-                nxt.add(canonical_key(Graph.from_edges(m, g.edges() + [(v, g.n)]), cap=cap))
+                child = Graph.from_edges(m, g.edges() + [(v, g.n)])
+                nxt.add(canonical_key(child, cap=TREE_CAP))
         level = sorted(nxt)
     return tuple(decode_graph6(key) for key in level)
 

@@ -26,9 +26,9 @@ class _Order:
     """The classes on n vertices: their canonical graph6 keys in sorted
     order, for each class the index, in the order n - 1 lists, of the
     parent whose augmentation first produced it (None at n = 1), and the
-    canonical graph of each class.  The graphs are decoded from the keys
-    once, on first use, so that an order that is only counted (the opt-in
-    n = 9 tier, 274,668 classes) does not hold them."""
+    canonical graph of each class, all as tuples.  The graphs are decoded
+    from the keys once, on first use, so that an order that is only
+    counted (the opt-in n = 9 tier, 274,668 classes) does not hold them."""
 
     __slots__ = ("keys", "parents", "_graphs")
 
@@ -40,19 +40,22 @@ class _Order:
     @property
     def graphs(self):
         if self._graphs is None:
-            self._graphs = [decode_graph6(k) for k in self.keys]
+            self._graphs = tuple(map(decode_graph6, self.keys))
         return self._graphs
 
 
-def _representatives(n, cap=EXHAUSTIVE_CAP):
-    """The classes on n vertices as an `_Order`, cached.  Built by vertex
-    augmentation that keeps only children whose new vertex has maximum
-    degree: deleting a maximum-degree vertex of any graph on n vertices
-    leaves a parent in the n - 1 list, so every class is still reached, and
-    each class's parent is isomorphic to the class minus one of its
-    maximum-degree vertices.  Twins of the parent are interchangeable, so
-    in each twin class the new vertex is joined only to a prefix of the
-    class."""
+def graph_order(n, cap=EXHAUSTIVE_CAP):
+    """The classes on n vertices as an `_Order`, cached.  Each key is the
+    canonical graph6 string its graph is decoded from, so it equals
+    `canonical_key(graph)`; each parent is the index in graph_order(n - 1)
+    of a class isomorphic to the graph minus one of its maximum-degree
+    vertices.
+
+    Built by vertex augmentation that keeps only children whose new vertex
+    has maximum degree: deleting a maximum-degree vertex of any graph on n
+    vertices leaves a parent in the n - 1 list, so every class is still
+    reached.  Twins of the parent are interchangeable, so in each twin
+    class the new vertex is joined only to a prefix of the class."""
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     if cap > OPT_IN_CAP:
@@ -65,7 +68,7 @@ def _representatives(n, cap=EXHAUSTIVE_CAP):
         first = {encode_graph6(Graph(1, (0,), 0)): None}
     else:
         first = {}
-        for parent, base in enumerate(_representatives(n - 1).graphs):
+        for parent, base in enumerate(graph_order(n - 1).graphs):
             degrees = base.degrees()
             top = max(degrees)
             top_mask = sum(1 << v for v, d in enumerate(degrees) if d == top)
@@ -88,34 +91,19 @@ def _representatives(n, cap=EXHAUSTIVE_CAP):
                         rows[v] |= 1 << (n - 1)
                 g = Graph(n, tuple(rows), e)
                 first.setdefault(canonical_key(g), parent)
-    keys = sorted(first)
-    order = _cache[n] = _Order(keys, [first[k] for k in keys])
+    keys = tuple(sorted(first))
+    order = _cache[n] = _Order(keys, tuple(first[k] for k in keys))
     return order
-
-
-def _ordered_keys(n, cap=EXHAUSTIVE_CAP):
-    """Canonical graph6 keys of the classes on n vertices, in stream order."""
-    return _representatives(n, cap).keys
 
 
 def all_graphs(n, connected_only=False, cap=EXHAUSTIVE_CAP):
     """One representative per isomorphism class on n vertices, as a new
     list in deterministic (canonical graph6) order.  The graphs are the
     enumeration's own immutable objects, decoded once per class."""
-    graphs = _representatives(n, cap).graphs
+    graphs = graph_order(n, cap).graphs
     if connected_only:
         return [g for g in graphs if g.is_connected()]
     return list(graphs)
-
-
-def keyed_graphs(n):
-    """(key, graph, parent) triples in `all_graphs(n)` order.  Each key is
-    the canonical graph6 string the graph was decoded from, so it equals
-    `canonical_key(graph)`; parent is the index in `all_graphs(n - 1)` of a
-    class isomorphic to the graph minus one of its maximum-degree vertices
-    (None at n = 1)."""
-    order = _representatives(n)
-    return zip(order.keys, order.graphs, order.parents)
 
 
 def random_graph(n, m=None, p=None, seed=0):

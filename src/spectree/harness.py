@@ -1,5 +1,5 @@
 """Campaign runner: evaluates the conjecture/theorem predicates over graph
-streams, compares each spectral radius exactly with its threshold, and
+sources, compares each spectral radius exactly with its threshold, and
 builds deterministic reports.
 
 The thresholds mu(S_{n,k}) and mu(S+_{n,k}) are the largest roots of the
@@ -16,18 +16,19 @@ import json
 import time
 from dataclasses import dataclass, asdict
 from functools import partial
-from itertools import chain, islice
 
 from . import __version__
 from .errors import BudgetExceededError, ParameterError
 from .graphs import (
     Broom,
+    CANONICAL_CAP,
     CompleteSplit,
     CompleteSplitPlus,
     GeneralizedBroom,
     Path,
     Spider,
     build_family,
+    canonical_key,
     encode_graph6,
     is_complete_split,
     is_complete_split_plus,
@@ -41,7 +42,7 @@ from .spectral import (
     split_quotient,
 )
 from .embed import all_trees_of_order, contains_tree
-from .enumeration import keyed_graphs, perturb_extremal, random_graph
+from .enumeration import graph_order, perturb_extremal, random_graph
 from .turan import check_lemma, edge_threshold_S_plus, partitions
 
 SCHEMA_VERSION = 1
@@ -52,12 +53,6 @@ SCHEMA_VERSION = 1
 # the exact value, and LargestRoot holds theta to within 2^-51 relative:
 # both errors are far below this.
 FLOAT_MARGIN = 1e-9
-
-# Matrix entries per stacked eigh: a campaign hands its checker n-vertex
-# graphs in chunks of max(1, MU_BATCH_ENTRIES // n^2), 256 graphs at
-# n = 8.  Bounding entries rather than graphs keeps the stack's transient
-# arrays small at every order.
-MU_BATCH_ENTRIES = 1 << 14
 
 CAMPAIGNS = (
     "conjecture_a",
@@ -124,22 +119,21 @@ class VerificationReport:
     tool_version: str
 
 
-def _graph_stream(spec, n):
-    """Deterministic (index, key, graph, parent) stream for one order,
-    generated lazily.  Exhaustive graphs come with their canonical graph6
-    keys and the index of their enumeration parent on n - 1 vertices;
-    sampled graphs get their keys from `_stable_key`, which can repeat,
-    and parent None."""
+def _source(spec, n):
+    """The graphs of one order as (keys, graphs, parents), three aligned
+    sequences in index order.  An exhaustive order hands out the enumeration's own
+    tuples: canonical graph6 keys, and the index of each graph's
+    enumeration parent on n - 1 vertices.  Sampled graphs get their keys
+    from `_stable_key`, which can repeat, and parent None."""
     src = spec.source
     if src.kind == "exhaustive":
-        for i, item in enumerate(keyed_graphs(n)):
-            yield i, *item
-        return
+        order = graph_order(n)
+        return order.keys, order.graphs, order.parents
     if src.kind == "random":
-        graphs = (
+        graphs = [
             random_graph(n, p=0.5, seed=src.seed * 1_000_003 + n * 101 + i)
             for i in range(src.count)
-        )
+        ]
     elif src.kind == "perturbation":
         if not isinstance(src.base, (CompleteSplit, CompleteSplitPlus)):
             raise ParameterError("perturbation base must be a complete-split spec")
@@ -152,17 +146,13 @@ def _graph_stream(spec, n):
             if a + r
             for _ in range(src.count)
         ]
-        graphs = chain(
-            [build_family(base)],
-            (
-                perturb_extremal(base, add=a, remove=r, seed=src.seed * 7_654_321 + i)
-                for i, (a, r) in enumerate(draws, start=1)
-            ),
-        )
+        graphs = [build_family(base)] + [
+            perturb_extremal(base, add=a, remove=r, seed=src.seed * 7_654_321 + i)
+            for i, (a, r) in enumerate(draws, start=1)
+        ]
     else:
         raise ParameterError(f"unknown source kind {src.kind!r}")
-    for i, g in enumerate(graphs):
-        yield i, _stable_key(g), g, None
+    return [_stable_key(g) for g in graphs], graphs, [None] * len(graphs)
 
 
 def _patterns(spec):
@@ -206,35 +196,29 @@ def _patterns(spec):
 def _stable_key(g):
     """Graph identity for reports: canonical graph6 when small, plain
     graph6 otherwise."""
-    from .graphs import canonical_key, CANONICAL_CAP
-
     if g.n <= CANONICAL_CAP:
         return canonical_key(g)
     return encode_graph6(g)
 
 
-def _chunks(stream, n):
-    """The (index, key, graph, parent) stream of order n in lists of at most
-    max(1, MU_BATCH_ENTRIES // n^2) items."""
-    size = max(1, MU_BATCH_ENTRIES // (n * n))
-    while chunk := list(islice(stream, size)):
-        yield chunk
-
-
 def run_campaign(spec):
-    """Run one campaign.  Graphs are checked in chunks as they are
-    generated; each order's verdicts are then sorted by (key, index), so
-    the report lists them in (n, key, index) order."""
+    """Run one campaign, one order at a time: every graph of the order gets
+    its mu from one `spectral_radii` call (none for broom_turan) and then
+    its verdict; the order's verdicts are sorted by (key, index), so the
+    report lists them in (n, key, index) order."""
     spec.validate()
     t_start = time.perf_counter()
     missing = _missing_sets(spec, _patterns(spec))
     verdicts = []
     per_n_violations = {}
     for n in range(spec.n_min, spec.n_max + 1):
+        keys, graphs, parents = _source(spec, n)
+        if spec.campaign == "broom_turan":
+            mus = [None] * len(graphs)
+        else:
+            mus = [res.mu for res in spectral_radii(graphs)]
         check = _checker(spec, n, missing)
-        rows = []
-        for chunk in _chunks(_graph_stream(spec, n), n):
-            rows += check(chunk)
+        rows = list(map(check, range(len(graphs)), keys, graphs, parents, mus))
         rows.sort(key=lambda v: (v["key"], v["index"]))
         per_n_violations[n] = sum(v["violation"] for v in rows)
         verdicts += rows
@@ -299,7 +283,6 @@ def _missing_sets(spec, patterns):
     last order are never read, so they are not kept.  A sampled graph
     (parent None) is tested against every pattern."""
     memo = {}
-    orders = {}
     smallest = min((pat.n for _, pat in patterns), default=0)
 
     def absent(g, candidates, strict=True):
@@ -322,10 +305,10 @@ def _missing_sets(spec, patterns):
             return patterns
         found = memo.get((n - 1, parent))
         if found is None:
-            if n - 1 not in orders:
-                orders[n - 1] = list(keyed_graphs(n - 1))
-            _, g, grandparent = orders[n - 1][parent]
-            found = absent(g, inherited(n - 1, grandparent), strict=False)
+            order = graph_order(n - 1)
+            found = absent(
+                order.graphs[parent], inherited(n - 1, order.parents[parent]), strict=False
+            )
             memo[n - 1, parent] = found
         return found
 
@@ -338,36 +321,25 @@ def _missing_sets(spec, patterns):
     return missing
 
 
-def _with_mu(verdict):
-    """The chunk form of a verdict (index, key, graph, parent, mu) -> row:
-    one stacked eigh gives mu for the whole chunk."""
-
-    def check(chunk):
-        results = spectral_radii([item[2] for item in chunk])
-        return [verdict(*item, res.mu) for item, res in zip(chunk, results)]
-
-    return check
-
-
 def _checker(spec, n, missing):
-    """The verdict function [(index, key, graph, parent)] -> [row] for a
-    chunk of order-n graphs, with the threshold, the exceptional-graph test
-    and the campaign's `_missing_sets` function bound."""
+    """The verdict function (index, key, graph, parent, mu) -> row for an
+    order-n graph, with the threshold, the exceptional-graph test and the
+    campaign's `_missing_sets` function bound."""
     k = spec.k
     c = spec.campaign
     if c == "lemma_suite":
-        return _with_mu(partial(_lemma_suite_verdict, n))
+        return partial(_lemma_suite_verdict, n)
 
     if c == "broom_turan":
         edges = edge_threshold_S_plus(n, k) if n >= k + 2 else None
 
-        def broom_turan(index, key, g, parent):
+        def broom_turan(index, key, g, parent, mu):
             # advisory at small n; thresholds reported
             if edges is None or g.e < edges or not g.is_connected():
                 return _verdict(index, n, key, None, "non_qualifying")
             return _verdict(index, n, key, None, "qualifying", missing(n, index, g, parent))
 
-        return lambda chunk: [broom_turan(*item) for item in chunk]
+        return broom_turan
 
     if c == "conjecture_b":
         family, exceptional = CompleteSplitPlus(n, k), is_complete_split_plus
@@ -390,7 +362,7 @@ def _checker(spec, n, missing):
             )
         return _verdict(index, n, key, mu, "non_qualifying")
 
-    return _with_mu(mu_campaign)
+    return mu_campaign
 
 
 def _lemma_suite_verdict(n, index, key, g, parent, mu):

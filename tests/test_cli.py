@@ -59,6 +59,25 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: theorem_spider ")
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["verify", "theorem_spider", "--k", "2", "--n", "1"], 2),
+            (["verify", "conjecture_a", "--source", "random", "--count", "0"], 2),
+            (["verify", "conjecture_a", "--n", "3", "--n-max", "2"], 2),
+            (["verify", "no_such_campaign"], 2),
+            (["enumerate", "trees", "--n", "13"], 3),
+            (["report", "missing.json"], 2),
+        ],
+    )
+    def test_rejected_command_writes_no_out_file(
+        self, capsys, tmp_path, monkeypatch, argv, code
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--out", "r.json"]) == code
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
     def test_verify_zero_on_clean_run(self, capsys, tmp_path):
         out = tmp_path / "r.json"
         code = main(
@@ -184,6 +203,11 @@ class TestSubcommands:
         assert lines == sorted(lines)
         assert all(canonical_key(decode_graph6(line)) == line for line in lines)
 
+    def test_enumerate_one_vertex_tree(self, capsys):
+        assert main(["enumerate", "trees", "--n", "1"]) == 0
+        assert capsys.readouterr().out == "@\n"
+        assert main(["enumerate", "trees", "--n", "0"]) == 2
+
     def test_enumerate_connected(self, capsys):
         assert main(["enumerate", "graphs", "--n", "5", "--connected"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 21
@@ -206,6 +230,13 @@ class TestSubcommands:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("n,index,key,")
         assert len(lines) == 1 + 11
+
+    def test_report_rewrites_its_own_file(self, capsys, tmp_path):
+        out = tmp_path / "r.json"
+        main(["verify", "lemma_suite", "--k", "2", "--n", "4", "--out", str(out)])
+        before = out.read_text()
+        assert main(["report", str(out), "--format", "json", "--out", str(out)]) == 0
+        assert out.read_text() == before
 
     def test_report_rejects_other_schema_version(self, capsys, tmp_path):
         out = tmp_path / "r.json"

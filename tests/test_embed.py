@@ -416,11 +416,11 @@ class TestLongestPath:
 
 
 class TestTreeGeneration:
-    # non-isomorphic free trees on 2..12 vertices (OEIS A000055)
-    COUNTS = [1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
+    # non-isomorphic free trees on 1..12 vertices (OEIS A000055)
+    COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
 
     def test_counts(self):
-        assert [len(all_trees_of_order(t)) for t in range(2, 13)] == self.COUNTS
+        assert [len(all_trees_of_order(t)) for t in range(1, 13)] == self.COUNTS
 
     @pytest.mark.parametrize("t", range(2, 13))
     def test_distinct_by_ahu_oracle(self, t):
@@ -498,8 +498,9 @@ class TestTreeGeneration:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             all_trees_of_order(13)
-        with pytest.raises(CapExceededError):
-            all_trees_of_order(1)
+        for t in (0, -1):
+            with pytest.raises(ParameterError):
+                all_trees_of_order(t)
 
 
 class TestProofGuidedSpider:

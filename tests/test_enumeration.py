@@ -18,9 +18,8 @@ from spectree.graphs import (
 )
 from spectree import enumeration
 from spectree.enumeration import (
-    _ordered_keys,
     all_graphs,
-    keyed_graphs,
+    graph_order,
     perturb_extremal,
     random_graph,
 )
@@ -62,7 +61,7 @@ class TestAllGraphs:
     def test_pinned_key_strings(self, n, count, digest):
         # the keys are graph identities in reports, so their bytes are pinned:
         # sha256 of the ordered keys joined by newlines
-        keys = _ordered_keys(n)
+        keys = graph_order(n).keys
         assert len(keys) == count
         assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == digest
 
@@ -71,7 +70,7 @@ class TestAllGraphs:
         reason="opt-in n = 9 tier, about 44 s; set SPECTREE_SLOW=1",
     )
     def test_opt_in_n9_count(self):
-        assert len(_ordered_keys(9, cap=9)) == 274668
+        assert len(graph_order(9, cap=9).keys) == 274668
 
     def test_connected_counts(self):
         assert [len(all_graphs(n, connected_only=True)) for n in range(1, 7)] == [
@@ -117,7 +116,7 @@ def unpruned_augmentation_keys(n):
 class TestAugmentation:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_unpruned_oracle(self, n):
-        assert unpruned_augmentation_keys(n) == _ordered_keys(n)
+        assert unpruned_augmentation_keys(n) == list(graph_order(n).keys)
 
     def test_canonical_key_calls(self, monkeypatch):
         # twin-orbit augmentation canonicalises 2,088 children for n = 1..7,
@@ -130,7 +129,7 @@ class TestAugmentation:
 
         monkeypatch.setattr(enumeration, "_cache", {})
         monkeypatch.setattr(enumeration, "canonical_key", counting_key)
-        counts = [len(_ordered_keys(n)) for n in range(1, 8)]
+        counts = [len(graph_order(n).keys) for n in range(1, 8)]
         assert counts == [1, 2, 4, 11, 34, 156, 1044]
         assert len(calls) <= 2088
 
@@ -139,7 +138,8 @@ class TestParentLinks:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_parent_is_child_minus_a_max_degree_vertex(self, n):
         parent_keys = [frozen_canonical_key(g) for g in all_graphs(n - 1)]
-        for key, g, parent in keyed_graphs(n):
+        order = graph_order(n)
+        for key, g, parent in zip(order.keys, order.graphs, order.parents):
             degrees = g.degrees()
             top = max(degrees)
             assert any(
@@ -151,11 +151,14 @@ class TestParentLinks:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_graphs_are_the_decoded_keys(self, n):
-        assert all_graphs(n) == [decode_graph6(k) for k in _ordered_keys(n)]
-        assert [k for k, _, _ in keyed_graphs(n)] == _ordered_keys(n)
-        assert all(a is b for (_, a, _), b in zip(keyed_graphs(n), all_graphs(n)))
+        order = graph_order(n)
+        assert all_graphs(n) == [decode_graph6(k) for k in order.keys]
+        assert len(order.keys) == len(order.graphs) == len(order.parents)
+        assert all(a is b for a, b in zip(order.graphs, all_graphs(n)))
 
     def test_returned_lists_are_fresh(self):
+        order = graph_order(6)
+        assert {type(order.keys), type(order.graphs), type(order.parents)} == {tuple}
         graphs = all_graphs(6)
         assert all_graphs(6) is not graphs
         assert all(a is b for a, b in zip(graphs, all_graphs(6)))
@@ -165,7 +168,10 @@ class TestParentLinks:
         assert len(all_graphs(6, connected_only=True)) == 112
 
     def test_first_order_has_no_parent(self):
-        assert list(keyed_graphs(1)) == [("@", Graph(1, (0,), 0), None)]
+        order = graph_order(1)
+        assert order.keys == ("@",)
+        assert order.graphs == (Graph(1, (0,), 0),)
+        assert order.parents == (None,)
 
 
 class TestRandomGraph:

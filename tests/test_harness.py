@@ -24,7 +24,7 @@ from spectree.graphs import (
 from spectree.embed import all_trees_of_order, contains_tree
 from spectree.enumeration import all_graphs
 from spectree.spectral import LargestRoot, charpoly, spectral_radii, split_quotient
-from spectree import harness
+from spectree import harness, spectral
 from spectree.harness import (
     CAMPAIGNS,
     CampaignSpec,
@@ -137,6 +137,19 @@ class TestMuCampaign:
         assert len(seen) == report.totals["graphs_scanned"] == 34
         assert sorted(seen) == sorted(v["key"] for v in report.verdicts)
         assert len(set(seen)) == 34
+
+    def test_one_spectral_radii_call_per_order(self, monkeypatch):
+        # spectral_radii slices each order itself; the harness hands it the
+        # whole order at once
+        sizes = []
+
+        def recording(graphs, *args, **kwargs):
+            sizes.append(len(graphs))
+            return spectral_radii(graphs, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "spectral_radii", recording)
+        run_campaign(small_spec(n_min=7, n_max=8))
+        assert sizes == [1044, 12346]
 
     def test_violations_carry_witness_keys(self):
         # e.g. the octahedron qualifies but has max degree 4, so the 5-star
@@ -251,9 +264,9 @@ class TestExactThreshold:
         assert sum(connected) == 6
 
     def test_n8_chunked_mu_against_oracle(self, report_n8):
-        # 12,346 graphs run through the checker in many chunks; each row's
-        # mu is the per-graph edge-list eigh value
-        assert 12346 // (harness.MU_BATCH_ENTRIES // 64) >= 40
+        # 12,346 graphs are solved in many slices; each row's mu is the
+        # per-graph edge-list eigh value
+        assert 12346 // (spectral.BATCH_ENTRIES // 64) >= 40
         for v in report_n8.verdicts:
             mu = eigh_mu(decode_graph6(v["key"]))
             assert abs(v["mu"] - mu) <= 1e-14 * max(1.0, mu), v["key"]

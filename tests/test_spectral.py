@@ -217,14 +217,37 @@ class TestSpectralRadii:
             assert abs(res.mu - mu) <= 1e-14 * mu
             assert np.array_equal(adjacency_matrix(g), edge_list_adjacency(g))
 
+    def test_multi_slice_batches(self, monkeypatch):
+        # slices of max(1, 2^14 // n^2) graphs: 256 at n = 8 (whose values
+        # test_all_graphs_against_oracle checks) and 10 at n = 40
+        graphs = [random_graph(40, p=0.3, seed=s) for s in range(30)]
+        stacks = []
+        eigh = np.linalg.eigh
+
+        def recording(a):
+            stacks.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        assert len(spectral_radii(all_graphs(8))) == 12346
+        results = spectral_radii(graphs)
+        monkeypatch.undo()
+        assert stacks == [(256, 8, 8)] * 48 + [(58, 8, 8)] + [(10, 40, 40)] * 3
+        assert len(results) == len(graphs)
+        for g, res in zip(graphs, results):
+            mu = eigh_mu(g)
+            assert abs(res.mu - mu) <= 1e-14 * mu
+
     def test_convergence_error_names_the_failing_graph(self):
         # an edgeless graph has residual exactly 0, so under a tiny tol
-        # only the path fails, and the error carries the path's result
+        # only the path fails, and the error carries the path's result;
+        # after 20 edgeless graphs the path is in the second slice of 18
         path = build_family(Path(30))
-        with pytest.raises(ConvergenceError) as exc:
-            spectral_radii([empty_graph(30), path, empty_graph(30)], tol=1e-300)
-        assert exc.value.best.mu == pytest.approx(2 * math.cos(math.pi / 31), abs=1e-12)
-        assert exc.value.best.residual > 0
+        for before in (1, 20):
+            with pytest.raises(ConvergenceError) as exc:
+                spectral_radii([empty_graph(30)] * before + [path, empty_graph(30)], tol=1e-300)
+            assert exc.value.best.mu == pytest.approx(2 * math.cos(math.pi / 31), abs=1e-12)
+            assert exc.value.best.residual > 0
 
     def test_mixed_orders_rejected(self):
         with pytest.raises(ParameterError):
