@@ -96,11 +96,12 @@ def graph_order(n, cap=EXHAUSTIVE_CAP):
     return order
 
 
-def all_graphs(n, connected_only=False, cap=EXHAUSTIVE_CAP):
+def all_graphs(n, connected_only=False):
     """One representative per isomorphism class on n vertices, as a new
     list in deterministic (canonical graph6) order.  The graphs are the
-    enumeration's own immutable objects, decoded once per class."""
-    graphs = graph_order(n, cap).graphs
+    enumeration's own immutable objects, decoded once per class.  Orders
+    above EXHAUSTIVE_CAP are reached through `graph_order(n, cap)`."""
+    graphs = graph_order(n).graphs
     if connected_only:
         return [g for g in graphs if g.is_connected()]
     return list(graphs)

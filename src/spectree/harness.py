@@ -41,9 +41,9 @@ from .spectral import (
     spectral_radii,
     split_quotient,
 )
-from .embed import all_trees_of_order, contains_tree
+from .embed import DEFAULT_BUDGET, all_trees_of_order, contains_tree
 from .enumeration import graph_order, perturb_extremal, random_graph
-from .turan import check_lemma, edge_threshold_S_plus, partitions
+from .turan import check_lemma, edge_threshold_S_plus, partitions, spider_graphs
 
 SCHEMA_VERSION = 1
 
@@ -208,7 +208,7 @@ def run_campaign(spec):
     report lists them in (n, key, index) order."""
     spec.validate()
     t_start = time.perf_counter()
-    missing = _missing_sets(spec, _patterns(spec))
+    facts = _facts(spec)
     verdicts = []
     per_n_violations = {}
     for n in range(spec.n_min, spec.n_max + 1):
@@ -217,7 +217,7 @@ def run_campaign(spec):
             mus = [None] * len(graphs)
         else:
             mus = [res.mu for res in spectral_radii(graphs)]
-        check = _checker(spec, n, missing)
+        check = _checker(spec, n, facts)
         rows = list(map(check, range(len(graphs)), keys, graphs, parents, mus))
         rows.sort(key=lambda v: (v["key"], v["index"]))
         per_n_violations[n] = sum(v["violation"] for v in rows)
@@ -270,65 +270,106 @@ def _verdict(index, n, key, mu, classification, missing=None, advisory=False):
     }
 
 
-def _missing_sets(spec, patterns):
-    """The function (n, index, graph, parent) -> names of the patterns the
-    graph does not contain, in pattern order, for one run_campaign call.
+class _Inherited:
+    """Facts about the classes of the exhaustive orders, memoised by
+    (order, index, fact name) for one run_campaign call.
 
-    An exhaustive graph contains its enumeration parent (the graph minus a
-    maximum-degree vertex), so it contains every tree the parent contains:
-    only the patterns in the parent's missing set are tested.  That set is
-    looked up in a memo that lives as long as this function, or computed by
-    the same rule when the parent was not scanned or did not qualify; below
-    the smallest pattern order every pattern is missing.  The sets of the
-    last order are never read, so they are not kept.  A sampled graph
-    (parent None) is tested against every pattern."""
-    memo = {}
-    smallest = min((pat.n for _, pat in patterns), default=0)
+    `rules` maps each fact name to derive(g, up, strict) -> that fact of
+    graph g, where up() is the same fact of g's enumeration parent (the
+    graph minus a maximum-degree vertex), or None when g has none.  A fact
+    of a class that was not scanned, or whose scanned fact was not needed,
+    is derived on demand with strict=False when a child asks for it.  A
+    scanned fact is derived with strict=True and kept only below the top
+    order, since nothing reads the top order's facts; a sampled graph
+    (parent None) has nothing to inherit and keeps nothing."""
 
-    def absent(g, candidates, strict=True):
-        out = []
-        for name, pat in candidates:
-            try:
-                if pat.n > g.n or contains_tree(g, pat, budget=spec.budget) is None:
-                    out.append((name, pat))
-            except BudgetExceededError:
-                # an ancestor's set may keep an undecided pattern: its
-                # descendants test that pattern themselves
-                if strict:
-                    raise
-                out.append((name, pat))
-        return tuple(out)
+    def __init__(self, spec, rules):
+        self.rules = rules
+        self.keep_below = spec.n_max if spec.source.kind == "exhaustive" else 0
+        self.memo = {}
 
-    def inherited(n, parent):
-        """The missing set of class `parent` on n - 1 vertices."""
-        if parent is None or n - 1 < smallest:
-            return patterns
-        found = memo.get((n - 1, parent))
+    def of(self, name, n, index):
+        """Fact `name` of class `index` of graph_order(n); None for index None."""
+        if index is None:
+            return None
+        found = self.memo.get((n, index, name))
         if found is None:
-            order = graph_order(n - 1)
-            found = absent(
-                order.graphs[parent], inherited(n - 1, order.parents[parent]), strict=False
-            )
-            memo[n - 1, parent] = found
+            order = graph_order(n)
+            up = partial(self.of, name, n - 1, order.parents[index])
+            found = self.memo[n, index, name] = self.rules[name](order.graphs[index], up, False)
         return found
 
-    def missing(n, index, g, parent):
-        found = absent(g, inherited(n, parent))
-        if parent is not None and n < spec.n_max:
-            memo[n, index] = found
-        return [name for name, _ in found]
+    def scanned(self, name, n, index, g, parent):
+        """Fact `name` of the scanned graph g, the index-th of order n."""
+        found = self.rules[name](g, partial(self.of, name, n - 1, parent), True)
+        if n < self.keep_below:
+            self.memo[n, index, name] = found
+        return found
 
-    return missing
+
+def _absent(patterns, budget, g, up, strict):
+    """The (name, pattern) pairs that g does not contain, in pattern order.
+
+    g contains its enumeration parent, so it contains every tree the parent
+    contains: only the pairs in the parent's set up() are tested, or all of
+    `patterns` when g has no parent."""
+    inherited = up()
+    out = []
+    # the sets share the pairs of `patterns`, so the memo holds no copies
+    for pair in patterns if inherited is None else inherited:
+        pat = pair[1]
+        try:
+            if pat.n > g.n or contains_tree(g, pat, budget=budget) is None:
+                out.append(pair)
+        except BudgetExceededError:
+            # an ancestor's set may keep an undecided pattern: its
+            # descendants test that pattern themselves
+            if strict:
+                raise
+            out.append(pair)
+    return tuple(out)
 
 
-def _checker(spec, n, missing):
+def _path_sum(g, up, strict):
+    """Exact sum over v of p_v, the edge count of a longest path from v."""
+    return check_lemma(g, "sum_longest_path").details["p_sum"]
+
+
+def _path_sum_floor(parent_sum, e):
+    """A lower bound on the sum of p_v over an exhaustive graph with e edges
+    whose enumeration parent P has the exact sum `parent_sum`.
+
+    P is G - w for a maximum-degree vertex w, and a path of G - w is a path
+    of G, so no p_v with v != w falls.  When G has an edge, w has a
+    neighbour u.  If u is isolated in G - w, p_u rises from 0 to at least
+    1 and p_w >= 1; otherwise w followed by a longest path from u gives
+    p_w >= 1 + p_u(G - w) >= 2.  Either way the sum gains at least 2."""
+    return parent_sum + 2 * (e > 0)
+
+
+def _facts(spec):
+    """The campaign's `_Inherited` memo: the missing pattern set for the
+    containment campaigns; for lemma_suite the exact longest-path sum and
+    the missing three-leg spiders for t = 4 and 5."""
+    if spec.campaign == "lemma_suite":
+        rules = {t: partial(_absent, spider_graphs(t), DEFAULT_BUDGET) for t in (4, 5)}
+        rules["p_sum"] = _path_sum
+    else:
+        rules = {"missing": partial(_absent, _patterns(spec), spec.budget)}
+    return _Inherited(spec, rules)
+
+
+def _checker(spec, n, facts):
     """The verdict function (index, key, graph, parent, mu) -> row for an
     order-n graph, with the threshold, the exceptional-graph test and the
-    campaign's `_missing_sets` function bound."""
+    campaign's `_Inherited` facts bound."""
     k = spec.k
     c = spec.campaign
     if c == "lemma_suite":
-        return partial(_lemma_suite_verdict, n)
+        return partial(_lemma_suite_verdict, n, facts)
+
+    def missing(index, g, parent):
+        return [name for name, _ in facts.scanned("missing", n, index, g, parent)]
 
     if c == "broom_turan":
         edges = edge_threshold_S_plus(n, k) if n >= k + 2 else None
@@ -337,7 +378,7 @@ def _checker(spec, n, missing):
             # advisory at small n; thresholds reported
             if edges is None or g.e < edges or not g.is_connected():
                 return _verdict(index, n, key, None, "non_qualifying")
-            return _verdict(index, n, key, None, "qualifying", missing(n, index, g, parent))
+            return _verdict(index, n, key, None, "qualifying", missing(index, g, parent))
 
         return broom_turan
 
@@ -358,21 +399,26 @@ def _checker(spec, n, missing):
             qualifies = theta.compare(g) >= 0
         if qualifies:
             return _verdict(
-                index, n, key, mu, "qualifying", missing(n, index, g, parent), advisory
+                index, n, key, mu, "qualifying", missing(index, g, parent), advisory
             )
         return _verdict(index, n, key, mu, "non_qualifying")
 
     return mu_campaign
 
 
-def _lemma_suite_verdict(n, index, key, g, parent, mu):
+def _lemma_suite_verdict(n, facts, index, key, g, parent, mu):
+    """The lemmas of `check_lemma` ("sum_longest_path" and
+    "spider3_erdos_sos" for t = 4, 5) and the two mu bounds.  The path
+    lemma runs the longest-path DP only when the parent's sum does not
+    settle it; a spider lemma whose hypothesis e > (t - 2)n/2 holds tests
+    only the spiders the parent misses."""
     failures = []
-    verd = check_lemma(g, "sum_longest_path")
-    if verd.violation:
-        failures.append("sum_longest_path")
+    up = facts.of("p_sum", n - 1, parent)
+    if up is None or 2 * g.e > _path_sum_floor(up, g.e):
+        if 2 * g.e > facts.scanned("p_sum", n, index, g, parent):
+            failures.append("sum_longest_path")
     for t in (4, 5):
-        verd = check_lemma(g, "spider3_erdos_sos", t=t)
-        if verd.violation:
+        if g.e > (t - 2) * g.n / 2 and facts.scanned(t, n, index, g, parent):
             failures.append(f"spider3_t{t}")
     if mu > bound_edges(g.e) + 1e-9:
         failures.append("edge_bound")

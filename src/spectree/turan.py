@@ -91,7 +91,7 @@ def three_leg_spiders(t):
 
 
 @lru_cache(maxsize=16)
-def _spider_graphs(t):
+def spider_graphs(t):
     """(legs, graph) of each of three_leg_spiders(t), in that order."""
     return tuple((sp.legs, build_family(sp)) for sp in three_leg_spiders(t))
 
@@ -131,7 +131,7 @@ def check_lemma(g, lemma, k=None, t=None):
         hyp = g.e > (t - 2) * g.n / 2
         missing = []
         if hyp:
-            for legs, sp in _spider_graphs(t):
+            for legs, sp in spider_graphs(t):
                 if contains_tree(g, sp) is None:
                     missing.append(legs)
         concl = hyp and not missing

@@ -92,7 +92,7 @@ class TestAllGraphs:
         with pytest.raises(CapExceededError):
             all_graphs(9)
         with pytest.raises(ParameterError):
-            all_graphs(10, cap=10)
+            graph_order(10, cap=10)
         with pytest.raises(ParameterError):
             all_graphs(0)
 

@@ -21,10 +21,11 @@ from spectree.graphs import (
     decode_graph6,
     encode_graph6,
 )
-from spectree.embed import all_trees_of_order, contains_tree
-from spectree.enumeration import all_graphs
+from spectree.embed import all_trees_of_order, contains_tree, longest_path_stats
+from spectree.enumeration import all_graphs, graph_order
 from spectree.spectral import LargestRoot, charpoly, spectral_radii, split_quotient
-from spectree import harness, spectral
+from spectree.turan import three_leg_spiders
+from spectree import harness, spectral, turan
 from spectree.harness import (
     CAMPAIGNS,
     CampaignSpec,
@@ -415,6 +416,86 @@ class TestInheritedMissing:
         qualifying = [v for v in report.verdicts if v["classification"] == "qualifying"]
         assert qualifying
         assert calls[0] == 6 * len(qualifying)
+
+
+def count_lemma_work(monkeypatch):
+    """Count the longest-path DP runs (through check_lemma) and the spider
+    searches of lemma_suite; returns the counter."""
+    calls = {"dp": 0, "spider": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(turan, "longest_path_stats", counting("dp", longest_path_stats))
+    monkeypatch.setattr(harness, "contains_tree", counting("spider", contains_tree))
+    return calls
+
+
+def lemma_digest(report):
+    """sha256 of the JSON report with its timings emptied."""
+    report = dataclasses.replace(report, timings={})
+    return hashlib.sha256(report_to_json(report).encode()).hexdigest()
+
+
+class TestInheritedLemmas:
+    # lemma_suite settles e <= sum(p)/2 from the parent's exact sum where it
+    # can and tests only the spiders the parent misses; the lemmas never
+    # fail, so the inherited facts are checked against exact ones directly
+    REPORT_1_8 = "04a7e65ee037c9b632d93d95a71942b080961a23f9a17ce3539db5ef1d4e6daf"
+    REPORT_8_8 = "7c847f0759832e358e8a8d61867d16b07efd25a9c4888ce025e0fa41d203aaf2"
+
+    def test_path_sum_floor_is_sound(self):
+        # the floor from the parent's exact sum never exceeds the graph's
+        # exact sum; a floor of parent + 3 overshoots on 16 graphs, the
+        # first K_2 over its parent K_1
+        exact = {
+            n: [sum(longest_path_stats(g).p) for g in graph_order(n).graphs]
+            for n in range(1, 9)
+        }
+        over = []
+        for n in range(2, 9):
+            order = graph_order(n)
+            for g, key, parent, total in zip(order.graphs, order.keys, order.parents, exact[n]):
+                if harness._path_sum_floor(exact[n - 1][parent], g.e) > total:
+                    over.append(key)
+        assert over == [], (len(over), over[:3])
+
+    def test_spider_sets_against_plain_filter(self):
+        # every class on n <= 7, inside the spider hypotheses or not
+        facts = harness._facts(small_spec(campaign="lemma_suite", n_min=1, n_max=8))
+        for t in (4, 5):
+            spiders = three_leg_spiders(t)
+            for n in range(1, 8):
+                for index, g in enumerate(graph_order(n).graphs):
+                    plain = [sp.legs for sp in spiders if contains_tree(g, sp) is None]
+                    assert [legs for legs, _ in facts.of(t, n, index)] == plain, (t, n, index)
+
+    def test_single_order_n8_work_and_report(self, monkeypatch):
+        # without inheritance: 12,346 DP runs and 20,463 spider searches
+        calls = count_lemma_work(monkeypatch)
+        report = run_campaign(small_spec(campaign="lemma_suite", n_min=8, n_max=8))
+        assert 0 < calls["dp"] <= 3000
+        assert 0 < calls["spider"] <= 1500
+        assert lemma_digest(report) == self.REPORT_8_8
+
+    def test_range_report(self):
+        report = run_campaign(small_spec(campaign="lemma_suite", n_min=1, n_max=8))
+        assert report.totals["violations"] == 0
+        assert lemma_digest(report) == self.REPORT_1_8
+
+    def test_no_state_between_calls(self, monkeypatch):
+        calls = count_lemma_work(monkeypatch)
+        spec = small_spec(campaign="lemma_suite", n_min=7, n_max=7)
+        first = run_campaign(spec)
+        work = dict(calls)
+        second = run_campaign(spec)
+        assert calls == {name: 2 * count for name, count in work.items()}
+        assert work["dp"] > 0 and work["spider"] > 0
+        assert first.verdicts == second.verdicts
 
 
 class TestOtherCampaigns:
