@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import random
+from itertools import islice
 
 from .errors import CapExceededError, ParameterError
 from .graphs import (
+    BATCH_ENTRIES,
     CompleteSplit,
     CompleteSplitPlus,
     Graph,
     build_family,
-    canonical_key,
+    canonical_keys,
     decode_graph6,
     encode_graph6,
     twin_classes,
@@ -55,7 +57,9 @@ def graph_order(n, cap=EXHAUSTIVE_CAP):
     has maximum degree: deleting a maximum-degree vertex of any graph on n
     vertices leaves a parent in the n - 1 list, so every class is still
     reached.  Twins of the parent are interchangeable, so in each twin
-    class the new vertex is joined only to a prefix of the class."""
+    class the new vertex is joined only to a prefix of the class.  The
+    children are keyed by `canonical_keys` one slice at a time, as they
+    are generated, and the first child of each class names its parent."""
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     if cap > OPT_IN_CAP:
@@ -68,32 +72,40 @@ def graph_order(n, cap=EXHAUSTIVE_CAP):
         first = {encode_graph6(Graph(1, (0,), 0)): None}
     else:
         first = {}
-        for parent, base in enumerate(graph_order(n - 1).graphs):
-            degrees = base.degrees()
-            top = max(degrees)
-            top_mask = sum(1 << v for v, d in enumerate(degrees) if d == top)
-            masks = [0]
-            for cls in twin_classes(base.rows, range(n - 1)):
-                prefixes = [0]
-                for v in cls:
-                    prefixes.append(prefixes[-1] | 1 << v)
-                masks = [m | p for m in masks for p in prefixes]
-            for mask in masks:
-                d = mask.bit_count()
-                # the new vertex has degree d; a neighbour of degree top
-                # would reach top + 1
-                if d < top or d == top and mask & top_mask:
-                    continue
-                rows = list(base.rows) + [mask]
-                e = base.e + d
-                for v in range(n - 1):
-                    if mask >> v & 1:
-                        rows[v] |= 1 << (n - 1)
-                g = Graph(n, tuple(rows), e)
-                first.setdefault(canonical_key(g), parent)
+        children = _children(n)
+        while batch := list(islice(children, max(1, BATCH_ENTRIES // n**2))):
+            graphs, parents = zip(*batch)
+            for key, parent in zip(canonical_keys(graphs), parents):
+                first.setdefault(key, parent)
     keys = tuple(sorted(first))
     order = _cache[n] = _Order(keys, tuple(first[k] for k in keys))
     return order
+
+
+def _children(n):
+    """Each augmentation child on n vertices, with the index of its parent
+    in graph_order(n - 1), in generation order."""
+    for parent, base in enumerate(graph_order(n - 1).graphs):
+        degrees = base.degrees()
+        top = max(degrees)
+        top_mask = sum(1 << v for v, d in enumerate(degrees) if d == top)
+        masks = [0]
+        for cls in twin_classes(base.rows, range(n - 1)):
+            prefixes = [0]
+            for v in cls:
+                prefixes.append(prefixes[-1] | 1 << v)
+            masks = [m | p for m in masks for p in prefixes]
+        for mask in masks:
+            d = mask.bit_count()
+            # the new vertex has degree d; a neighbour of degree top
+            # would reach top + 1
+            if d < top or d == top and mask & top_mask:
+                continue
+            rows = list(base.rows) + [mask]
+            for v in range(n - 1):
+                if mask >> v & 1:
+                    rows[v] |= 1 << (n - 1)
+            yield Graph(n, tuple(rows), base.e + d), parent
 
 
 def all_graphs(n, connected_only=False):

@@ -472,6 +472,35 @@ def parse_edge_list(text):
     return Graph.from_edges(n, edges)
 
 
+# -- adjacency stacks --------------------------------------------------------
+
+# Matrix entries per batched numpy pass: spectral_radii and canonical_keys
+# take n-vertex graphs in slices of max(1, BATCH_ENTRIES // n^2), 256 graphs
+# at n = 8 and 10 at n = 40.  Bounding entries rather than graphs keeps the
+# transient arrays small at every order.
+#
+# The functions below import numpy when they run.  This module is the
+# package's first import, and loading numpy from here instead of from
+# `spectral` raised the peak RSS of every `bench/run.py` workload by about
+# 0.15-0.2 MB, with the same modules loaded.
+BATCH_ENTRIES = 1 << 14
+
+
+def _adjacency_stack(graphs, dtype=float):
+    """The (m, n, n) stack of the graphs' adjacency matrices, unpacked
+    from the bitset rows: row v of a graph is rows[v] as n little-endian
+    bits."""
+    import numpy as np
+
+    n = graphs[0].n
+    width = (n + 7) // 8
+    packed = b"".join(r.to_bytes(width, "little") for g in graphs for r in g.rows)
+    bits = np.unpackbits(
+        np.frombuffer(packed, np.uint8).reshape(-1, width), axis=1, count=n, bitorder="little"
+    )
+    return bits.reshape(len(graphs), n, n).astype(dtype)
+
+
 # -- canonical form --------------------------------------------------------
 
 CANONICAL_CAP = 10
@@ -512,6 +541,163 @@ def _refine_colors(g):
         k = len(ranks)
 
 
+def _dense_ranks(values):
+    """Per row of an (m, n) float array, each entry's rank among the row's
+    distinct values and the number of distinct values, both as floats.
+
+    Pairwise comparisons, since n <= CANONICAL_CAP.  The batch code keeps
+    to float arithmetic, comparisons and np.where, which spectral_radii
+    uses too: each further kind of numpy kernel (integer, boolean or
+    sorting) maps about 64 KB more of the library into memory."""
+    import numpy as np
+
+    index = np.arange(values.shape[1], dtype=float)
+    gaps = values[:, :, None] - values[:, None, :]
+    # u leads its value when no earlier entry shares it
+    spread = np.abs(gaps)
+    spread += np.where(index[:, None] > index, 0.0, np.inf)
+    leads = np.where(spread.min(axis=2) > 0, 1.0, 0.0)
+    del spread
+    return np.where(gaps > 0, leads[:, None, :], 0.0).sum(axis=2), leads.sum(axis=1)
+
+
+def _refine_color_stack(adj):
+    """`_refine_colors` of every graph in an (m, n, n) 0/1 float stack, as
+    an (m, n) float array.  A signature (c, sorted neighbour colours) is
+    coded as c * B^n - sum of B^(n-1-colour(u)) over the neighbours u,
+    B = n + 1: vertices of one colour have one degree, so the neighbour
+    lists compared have one length, and the codes sort as the tuples do.
+    The codes stay below 2^53 for n <= CANONICAL_CAP, so they are exact.  A
+    row that is stable or discrete keeps its colours in later rounds."""
+    import numpy as np
+
+    n = adj.shape[1]
+    base = n + 1
+    powers = np.array([float(base) ** (n - 1 - c) for c in range(n)])
+    colors, count = _dense_ranks(adj.sum(axis=2))
+    while True:
+        weights = powers[colors.astype(int)]
+        sigs = base**n * colors - (adj @ weights[:, :, None])[:, :, 0]
+        colors, new = _dense_ranks(sigs)
+        # every row kept its count of colours or became discrete
+        if np.minimum(new - count, n - new).max() == 0:
+            return colors
+        count = new
+
+
+def _one_ordering(adj, colors):
+    """Per graph of the stack, whether each of its colour classes is one
+    set of twins, so that the search below has a single ordering to try."""
+    import numpy as np
+
+    bit = np.array([2.0**v for v in range(adj.shape[1])])
+    # rows u and v agree outside {u, v} when their codes differ only by
+    # the entries (u, v) and (v, u)
+    codes = (adj @ bit[:, None])[:, :, 0]
+    apart = codes[:, :, None] - codes[:, None, :]
+    apart -= adj * (bit - bit[:, None])
+    np.abs(apart, out=apart)
+    same = colors[:, :, None] == colors[:, None, :]
+    return np.where(same, apart, 0.0).max(axis=2).max(axis=1) == 0
+
+
+def _ordered_keys(adj, colors):
+    """The graph6 string of each graph of the stack with its vertices
+    ordered by colour and then by index."""
+    import numpy as np
+
+    m, n, _ = adj.shape
+    index = np.arange(n, dtype=float)
+    positions = _dense_ranks(colors * n + index)[0].astype(int)
+    ordered = np.empty_like(adj)
+    ordered[np.arange(m)[:, None, None], positions[:, :, None], positions[:, None, :]] = adj
+    # graph6 bit order: the pairs (i, j), i < j, column by column, then
+    # zeros up to whole sextets
+    upper_i, upper_j = np.array([(i, j) for j in range(1, n) for i in range(j)]).T
+    width = -(-len(upper_i) // 6)
+    body = np.zeros((m, 6 * width))
+    body[:, : len(upper_i)] = ordered[:, upper_i, upper_j]
+    text = np.empty((m, width + 1), np.uint8)
+    text[:, 0] = 63 + n
+    text[:, 1:] = (body.reshape(m, width, 6) * [32.0, 16, 8, 4, 2, 1]).sum(axis=2) + 63
+    blob = text.tobytes().decode("ascii")
+    return [blob[i : i + width + 1] for i in range(0, len(blob), width + 1)]
+
+
+def _search(rows, colors):
+    """The column codes, one per position, of the minimum upper-triangle
+    bit code over all vertex orderings consistent with the colour classes,
+    found by branch-and-bound that explores one vertex of each set of
+    twins at a search node."""
+    classes = {}
+    for v, c in enumerate(colors):
+        classes.setdefault(c, []).append(v)
+    blocks = [classes[c] for c in sorted(classes)]
+
+    n = len(rows)
+    best = None  # list of column codes (ints), one per position 0..n-1
+    seq = []
+    cols = []
+
+    def rec(bi, remaining, shared):
+        """Search below the placed prefix cols, which matches best in its
+        first `shared` codes (-1 before any leaf); returns that length
+        again once the subtree is done.  cols never exceeds best, so a
+        shorter match means cols is already smaller and nothing below it
+        is pruned."""
+        nonlocal best
+        if bi == len(blocks):
+            if shared < n:
+                best = list(cols)
+                return n
+            return shared
+        block = blocks[bi] if remaining is None else remaining
+        pos = len(seq)
+        # one vertex per twin class: swapping twins is an automorphism that
+        # fixes the placed prefix, so the others give the same codes
+        for cls in twin_classes(rows, block) if len(block) > 1 else (block,):
+            v = cls[0]
+            rv = rows[v]
+            col = 0
+            for u in seq:
+                col = col << 1 | (rv >> u & 1)
+            below = shared
+            if shared == pos:
+                b = best[pos]
+                if col > b:
+                    continue
+                if col == b:
+                    below = pos + 1
+            seq.append(v)
+            cols.append(col)
+            rest = [u for u in block if u != v]
+            if rest:
+                below = rec(bi, rest, below)
+            else:
+                below = rec(bi + 1, None, below)
+            seq.pop()
+            cols.pop()
+            shared = below if below < pos else pos
+        return shared
+
+    # first position: column code is empty, so recursion handles ordering
+    rec(0, None, -1)
+    return best
+
+
+def _graph6_from_columns(n, cols):
+    """The graph6 string whose body is the column codes back to back,
+    padded to 6 bits."""
+    acc = 0
+    for j in range(1, n):
+        acc = acc << j | cols[j]
+    nbits = n * (n - 1) // 2
+    acc <<= -nbits % 6
+    return _graph6_order(n) + "".join(
+        chr(63 + (acc >> s & 63)) for s in range(6 * (-(-nbits // 6) - 1), -1, -6)
+    )
+
+
 def canonical_key(g, cap=CANONICAL_CAP):
     """Canonical graph6 string: identical iff graphs are isomorphic.
 
@@ -523,62 +709,44 @@ def canonical_key(g, cap=CANONICAL_CAP):
         raise CapExceededError(f"canonical form capped at n={cap}, got n={g.n}")
     if g.n <= 1:
         return encode_graph6(g)
-    colors = _refine_colors(g)
-    classes = {}
-    for v, c in enumerate(colors):
-        classes.setdefault(c, []).append(v)
-    blocks = [classes[c] for c in sorted(classes)]
+    return _graph6_from_columns(g.n, _search(g.rows, _refine_colors(g)))
 
-    n = g.n
-    rows = g.rows
-    best = None  # list of column codes (ints), one per position 0..n-1
-    seq = []
 
-    def rec(bi, remaining, tight):
-        nonlocal best
-        if bi == len(blocks):
-            if best is None or cols < best:
-                best = list(cols)
-            return
-        block = blocks[bi] if remaining is None else remaining
-        pos = len(seq)
-        # one vertex per twin class: swapping twins is an automorphism that
-        # fixes the placed prefix, so the others give the same codes
-        for cls in twin_classes(rows, block) if len(block) > 1 else (block,):
-            v = cls[0]
-            rv = rows[v]
-            col = 0
-            for i in range(pos):
-                col = col << 1 | (rv >> seq[i] & 1)
-            t = tight
-            if t and best is not None:
-                b = best[pos]
-                if col > b:
-                    continue
-                if col < b:
-                    t = False
-            seq.append(v)
-            cols.append(col)
-            rest = [u for u in block if u != v]
-            if rest:
-                rec(bi, rest, t)
-            else:
-                rec(bi + 1, None, t)
-            seq.pop()
-            cols.pop()
+def canonical_keys(graphs):
+    """[canonical_key(g) for g in graphs] for graphs of one order, keyed in
+    slices of max(1, BATCH_ENTRIES // n^2).
 
-    cols = []
-    # first position: column code is empty, so recursion handles ordering
-    rec(0, None, True)
-    # the graph6 body is the column codes back to back, padded to 6 bits
-    acc = 0
-    for j in range(1, n):
-        acc = acc << j | best[j]
-    nbits = n * (n - 1) // 2
-    acc <<= -nbits % 6
-    return _graph6_order(n) + "".join(
-        chr(63 + (acc >> s & 63)) for s in range(6 * (-(-nbits // 6) - 1), -1, -6)
-    )
+    Each slice is refined at once.  A graph whose colour classes are each
+    one set of twins has a single ordering to search, the vertices by
+    colour and then by index, so its key is read straight off the permuted
+    adjacency matrices; the others are searched one by one from their
+    batch colours."""
+    graphs = list(graphs)
+    orders = {g.n for g in graphs}
+    if len(orders) > 1:
+        raise ParameterError(f"a batch needs one order, got {sorted(orders)}")
+    if not graphs:
+        return []
+    n = graphs[0].n
+    if n > CANONICAL_CAP:
+        raise CapExceededError(f"canonical form capped at n={CANONICAL_CAP}, got n={n}")
+    if n <= 1:
+        return [encode_graph6(g) for g in graphs]
+    size = max(1, BATCH_ENTRIES // n**2)
+    keys = []
+    for start in range(0, len(graphs), size):
+        chunk = graphs[start : start + size]
+        adj = _adjacency_stack(chunk)
+        colors = _refine_color_stack(adj)
+        fixed = _one_ordering(adj, colors)
+        fixed_keys = iter(_ordered_keys(adj[fixed], colors[fixed]))
+        keys += [
+            next(fixed_keys)
+            if is_fixed
+            else _graph6_from_columns(n, _search(g.rows, c))
+            for g, c, is_fixed in zip(chunk, colors.astype(int).tolist(), fixed.tolist())
+        ]
+    return keys
 
 
 # -- structural isomorphism tests for the extremal families ---------------

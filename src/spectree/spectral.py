@@ -19,34 +19,22 @@ from .errors import (
     HypothesisViolationError,
     ParameterError,
 )
-from .graphs import CompleteSplit, CompleteSplitPlus, Graph, bits
+from .graphs import (
+    BATCH_ENTRIES,
+    CompleteSplit,
+    CompleteSplitPlus,
+    Graph,
+    _adjacency_stack,
+    bits,
+)
 
 DEFAULT_TOL = 1e-10
-
-# Matrix entries per stacked eigh: spectral_radii solves n-vertex graphs in
-# slices of max(1, BATCH_ENTRIES // n^2), 256 graphs at n = 8 and 10 at
-# n = 40.  Bounding entries rather than graphs keeps the stack's transient
-# arrays small at every order.
-BATCH_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
 class SpectralResult:
     mu: float
     residual: float
-
-
-def _adjacency_stack(graphs, dtype=float):
-    """The (m, n, n) stack of the graphs' adjacency matrices, unpacked
-    from the bitset rows: row v of a graph is rows[v] as n little-endian
-    bits."""
-    n = graphs[0].n
-    width = (n + 7) // 8
-    packed = b"".join(r.to_bytes(width, "little") for g in graphs for r in g.rows)
-    bits = np.unpackbits(
-        np.frombuffer(packed, np.uint8).reshape(-1, width), axis=1, count=n, bitorder="little"
-    )
-    return bits.reshape(len(graphs), n, n).astype(dtype)
 
 
 def adjacency_matrix(g, dtype=float):

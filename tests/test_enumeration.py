@@ -13,6 +13,7 @@ from spectree.graphs import (
     Path,
     build_family,
     canonical_key,
+    canonical_keys,
     decode_graph6,
     encode_graph6,
 )
@@ -65,9 +66,22 @@ class TestAllGraphs:
         assert len(keys) == count
         assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (7, "1c3ea6a5893e2a65a00e8a2c8c3db96d94629523eb0e23596ed5806581296b0d"),
+            (8, "bb9f812522e4fde20821f9aee2236454bab09c12e76d4e8fd7f1088c049a3a24"),
+        ],
+    )
+    def test_pinned_parent_indices(self, n, digest):
+        # campaigns inherit facts along the parents, so their indices are
+        # pinned too: sha256 of the indices joined by commas
+        parents = graph_order(n).parents
+        assert hashlib.sha256(",".join(map(str, parents)).encode()).hexdigest() == digest
+
     @pytest.mark.skipif(
         os.environ.get("SPECTREE_SLOW") != "1",
-        reason="opt-in n = 9 tier, about 44 s; set SPECTREE_SLOW=1",
+        reason="opt-in n = 9 tier, about 15 s; set SPECTREE_SLOW=1",
     )
     def test_opt_in_n9_count(self):
         assert len(graph_order(9, cap=9).keys) == 274668
@@ -121,17 +135,17 @@ class TestAugmentation:
     def test_canonical_key_calls(self, monkeypatch):
         # twin-orbit augmentation canonicalises 2,088 children for n = 1..7,
         # against 3,131 with the maximum-degree filter alone
-        calls = []
+        keyed = []
 
-        def counting_key(g):
-            calls.append(g.n)
-            return canonical_key(g)
+        def counting_keys(graphs):
+            keyed.extend(g.n for g in graphs)
+            return canonical_keys(graphs)
 
         monkeypatch.setattr(enumeration, "_cache", {})
-        monkeypatch.setattr(enumeration, "canonical_key", counting_key)
+        monkeypatch.setattr(enumeration, "canonical_keys", counting_keys)
         counts = [len(graph_order(n).keys) for n in range(1, 8)]
         assert counts == [1, 2, 4, 11, 34, 156, 1044]
-        assert len(calls) <= 2088
+        assert len(keyed) <= 2088
 
 
 class TestParentLinks:
