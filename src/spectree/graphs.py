@@ -573,7 +573,7 @@ def _refine_color_stack(adj):
 
     n = adj.shape[1]
     base = n + 1
-    powers = np.array([float(base) ** (n - 1 - c) for c in range(n)])
+    powers = np.array([float(base ** (n - 1 - c)) for c in range(n)])
     colors, count = _dense_ranks(adj.sum(axis=2))
     while True:
         weights = powers[colors.astype(int)]
@@ -590,7 +590,7 @@ def _one_ordering(adj, colors):
     set of twins, so that the search below has a single ordering to try."""
     import numpy as np
 
-    bit = np.array([2.0**v for v in range(adj.shape[1])])
+    bit = np.array([float(1 << v) for v in range(adj.shape[1])])
     # rows u and v agree outside {u, v} when their codes differ only by
     # the entries (u, v) and (v, u)
     codes = (adj @ bit[:, None])[:, :, 0]
@@ -617,10 +617,11 @@ def _ordered_keys(adj, colors):
     width = -(-len(upper_i) // 6)
     body = np.zeros((m, 6 * width))
     body[:, : len(upper_i)] = ordered[:, upper_i, upper_j]
-    text = np.empty((m, width + 1), np.uint8)
-    text[:, 0] = 63 + n
+    # built in float and cast once: storing floats into a uint8 slice one
+    # column wide (n = 2) runs an integer cast loop nothing else loads
+    text = np.full((m, width + 1), 63.0 + n)
     text[:, 1:] = (body.reshape(m, width, 6) * [32.0, 16, 8, 4, 2, 1]).sum(axis=2) + 63
-    blob = text.tobytes().decode("ascii")
+    blob = text.astype(np.uint8).tobytes().decode("ascii")
     return [blob[i : i + width + 1] for i in range(0, len(blob), width + 1)]
 
 
