@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from itertools import islice
 
 from .errors import CapExceededError, ParameterError
@@ -11,8 +12,8 @@ from .graphs import (
     CompleteSplit,
     CompleteSplitPlus,
     Graph,
+    _stack_keys,
     build_family,
-    canonical_keys,
     decode_graph6,
     encode_graph6,
     twin_classes,
@@ -58,8 +59,10 @@ def graph_order(n, cap=EXHAUSTIVE_CAP):
     vertices leaves a parent in the n - 1 list, so every class is still
     reached.  Twins of the parent are interchangeable, so in each twin
     class the new vertex is joined only to a prefix of the class.  The
-    children are keyed by `canonical_keys` one slice at a time, as they
-    are generated, and the first child of each class names its parent."""
+    children stream as (parent, mask) pairs into stacks of adjacency
+    matrices, which `_stack_keys` keys; keys can come out of generation
+    order, so each class takes the parent of its earliest child, the
+    smallest parent index, since the parents generate in index order."""
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     if cap > OPT_IN_CAP:
@@ -69,22 +72,26 @@ def graph_order(n, cap=EXHAUSTIVE_CAP):
     if n in _cache:
         return _cache[n]
     if n == 1:
-        first = {encode_graph6(Graph(1, (0,), 0)): None}
+        keys, parents = (encode_graph6(Graph(1, (0,), 0)),), (None,)
     else:
-        first = {}
-        children = _children(n)
-        while batch := list(islice(children, max(1, BATCH_ENTRIES // n**2))):
-            graphs, parents = zip(*batch)
-            for key, parent in zip(canonical_keys(graphs), parents):
-                first.setdefault(key, parent)
-    keys = tuple(sorted(first))
-    order = _cache[n] = _Order(keys, tuple(first[k] for k in keys))
+        starts = []  # generation index of each parent's first child
+        # one int object per parent, shared by every class it names
+        ids = list(range(len(graph_order(n - 1).keys)))
+        first = {}  # key -> parent of its earliest child
+        for i, key in _stack_keys(_child_stacks(n, starts)):
+            parent = ids[bisect_right(starts, i) - 1]
+            if first.get(key, parent) >= parent:
+                first[key] = parent
+        keys = tuple(sorted(first))
+        parents = tuple(first[k] for k in keys)
+    order = _cache[n] = _Order(keys, parents)
     return order
 
 
 def _children(n):
-    """Each augmentation child on n vertices, with the index of its parent
-    in graph_order(n - 1), in generation order."""
+    """Each augmentation child on n vertices as (parent, mask): the index
+    of its parent in graph_order(n - 1) and the neighbourhood of the new
+    vertex n - 1, in generation order."""
     for parent, base in enumerate(graph_order(n - 1).graphs):
         degrees = base.degrees()
         top = max(degrees)
@@ -101,11 +108,42 @@ def _children(n):
             # would reach top + 1
             if d < top or d == top and mask & top_mask:
                 continue
-            rows = list(base.rows) + [mask]
-            for v in range(n - 1):
-                if mask >> v & 1:
-                    rows[v] |= 1 << (n - 1)
-            yield Graph(n, tuple(rows), base.e + d), parent
+            yield parent, mask
+
+
+def _child_stacks(n, starts):
+    """The children of `_children(n)` as (m, n, n) 0/1 float adjacency
+    stacks of max(1, BATCH_ENTRIES // n^2): each parent's matrix, taken
+    from one stack of the n - 1 order, bordered by its child's mask bits.
+    Appends to `starts`, for each parent in turn, the index of its first
+    child in generation order."""
+    import numpy as np
+
+    def unpack(masks):
+        # masks of n - 1 <= 8 bits, one byte each, as rows of n - 1 bits.
+        # bytes() from ints: bytes.join takes an 80-byte buffer view per
+        # item, and freeing that block (585 KB for the 7,308 rows of n = 7)
+        # raises glibc's mmap threshold, which left the n = 8 key dict's
+        # table on the heap, 0.65 MB above what it would have used
+        raw = np.frombuffer(bytes(masks), np.uint8)[:, None]
+        return np.unpackbits(raw, axis=1, count=n - 1, bitorder="little")
+
+    prev = graph_order(n - 1).graphs
+    base = unpack(r for g in prev for r in g.rows).reshape(len(prev), n - 1, n - 1)
+    children = _children(n)
+    done = 0
+    while batch := list(islice(children, max(1, BATCH_ENTRIES // n**2))):
+        index, masks = zip(*batch)
+        for parent in index:
+            while len(starts) <= parent:
+                starts.append(done)
+            done += 1
+        new = unpack(masks)
+        stack = np.zeros((len(batch), n, n), np.uint8)
+        stack[:, :-1, :-1] = base[list(index)]
+        stack[:, -1, :-1] = new
+        stack[:, :-1, -1] = new
+        yield stack.astype(float)
 
 
 def all_graphs(n, connected_only=False):
@@ -151,12 +189,8 @@ def perturb_extremal(base, add=0, remove=0, seed=0):
         raise ParameterError(f"cannot remove {remove} of {g.e} edges")
     for u, v in rng.sample(g.edges(), remove):
         g = g.without_edge(u, v)
-    non_edges = [
-        (i, j)
-        for i in range(g.n)
-        for j in range(i + 1, g.n)
-        if not g.has_edge(i, j)
-    ]
+    # (i, j) with i < j, in order, read off the rows
+    non_edges = [(i, j) for i, r in enumerate(g.rows) for j in range(i + 1, g.n) if not r >> j & 1]
     if add > len(non_edges):
         raise ParameterError(f"cannot add {add} edges, only {len(non_edges)} slots")
     for u, v in rng.sample(non_edges, add):

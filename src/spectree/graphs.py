@@ -7,6 +7,8 @@ word-parallel neighborhood intersection in the embedding hot paths.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 from .errors import CapExceededError, Graph6Error, ParameterError
@@ -483,6 +485,15 @@ def parse_edge_list(text):
 # package's first import, and loading numpy from here instead of from
 # `spectral` raised the peak RSS of every `bench/run.py` workload by about
 # 0.15-0.2 MB, with the same modules loaded.
+#
+# The keying code keeps to float arithmetic, comparisons, np.where and
+# matrix-vector products, which spectral_radii maps into memory anyway:
+# each further kind of numpy kernel maps 64 KB or more of the library (a
+# stable argsort of the colours mapped 128 KB, read from /proc/self/pagemap).
+# Its arrays have a slice's number of rows, not the number that one path
+# takes, since numpy keeps freed blocks under 1 KB for reuse and arrays of
+# many sizes would each hold some.  And it imports no module the package
+# does not load anyway: the array module alone added about 150 KB.
 BATCH_ENTRIES = 1 << 14
 
 
@@ -541,14 +552,21 @@ def _refine_colors(g):
         k = len(ranks)
 
 
+def _ranks_below(values):
+    """Per row of an (m, n) float array, the number of entries below each
+    entry: equal entries share a rank, and the ranks keep the entries'
+    order.  Pairwise, since n <= CANONICAL_CAP."""
+    import numpy as np
+
+    return np.where(values[:, :, None] > values[:, None, :], 1.0, 0.0).sum(axis=2)
+
+
 def _dense_ranks(values):
     """Per row of an (m, n) float array, each entry's rank among the row's
     distinct values and the number of distinct values, both as floats.
 
-    Pairwise comparisons, since n <= CANONICAL_CAP.  The batch code keeps
-    to float arithmetic, comparisons and np.where, which spectral_radii
-    uses too: each further kind of numpy kernel (integer, boolean or
-    sorting) maps about 64 KB more of the library into memory."""
+    Pairwise comparisons, since n <= CANONICAL_CAP: a per-row argsort
+    is faster but maps a sorting kernel (see BATCH_ENTRIES)."""
     import numpy as np
 
     index = np.arange(values.shape[1], dtype=float)
@@ -567,22 +585,30 @@ def _refine_color_stack(adj):
     coded as c * B^n - sum of B^(n-1-colour(u)) over the neighbours u,
     B = n + 1: vertices of one colour have one degree, so the neighbour
     lists compared have one length, and the codes sort as the tuples do.
-    The codes stay below 2^53 for n <= CANONICAL_CAP, so they are exact.  A
-    row that is stable or discrete keeps its colours in later rounds."""
+    The codes stay below 2^53 for n <= CANONICAL_CAP, so they are exact.
+
+    The rounds colour each vertex by the number of signatures below its
+    own, which splits and orders the classes as dense ranks would, and
+    `_dense_ranks` relabels the stable colouring once.  A split raises the
+    colour of some vertex and lowers none, so a row whose colour sum holds
+    is stable; a row whose sum is n(n - 1)/2 is discrete.  Either keeps
+    its colours in later rounds."""
     import numpy as np
 
     n = adj.shape[1]
     base = n + 1
     powers = np.array([float(base ** (n - 1 - c)) for c in range(n)])
-    colors, count = _dense_ranks(adj.sum(axis=2))
+    discrete = n * (n - 1) / 2
+    colors = _ranks_below(adj.sum(axis=2))
+    total = colors.sum(axis=1)
     while True:
         weights = powers[colors.astype(int)]
         sigs = base**n * colors - (adj @ weights[:, :, None])[:, :, 0]
-        colors, new = _dense_ranks(sigs)
-        # every row kept its count of colours or became discrete
-        if np.minimum(new - count, n - new).max() == 0:
-            return colors
-        count = new
+        colors = _ranks_below(sigs)
+        new = colors.sum(axis=1)
+        if np.minimum(new - total, discrete - new).max() == 0:
+            return _dense_ranks(colors)[0]
+        total = new
 
 
 def _one_ordering(adj, colors):
@@ -601,26 +627,61 @@ def _one_ordering(adj, colors):
     return np.where(same, apart, 0.0).max(axis=2).max(axis=1) == 0
 
 
-def _ordered_keys(adj, colors):
-    """The graph6 string of each graph of the stack with its vertices
-    ordered by colour and then by index."""
+def _graph6_pairs(n):
+    """The vertex pairs (i, j), i < j, in graph6 bit order, column by
+    column, as two index arrays."""
     import numpy as np
 
-    m, n, _ = adj.shape
-    index = np.arange(n, dtype=float)
-    positions = _dense_ranks(colors * n + index)[0].astype(int)
-    ordered = np.empty_like(adj)
-    ordered[np.arange(m)[:, None, None], positions[:, :, None], positions[:, None, :]] = adj
-    # graph6 bit order: the pairs (i, j), i < j, column by column, then
-    # zeros up to whole sextets
-    upper_i, upper_j = np.array([(i, j) for j in range(1, n) for i in range(j)]).T
-    width = -(-len(upper_i) // 6)
-    body = np.zeros((m, 6 * width))
-    body[:, : len(upper_i)] = ordered[:, upper_i, upper_j]
+    return np.array([(i, j) for j in range(1, n) for i in range(j)]).T
+
+
+def _ordering_weights(sizes):
+    """For graphs whose colour classes, in colour order, have the given
+    sizes: a (P, L) float matrix with one row per colour-respecting
+    ordering, which weighs each pair of base positions (the vertices by
+    colour and then by index) with the value of the pair's bit in that
+    ordering's graph6 code.  A graph's L base-order pair bits times its
+    transpose are the graph's P codes, exact below 2^53."""
+    import numpy as np
+
+    n = sum(sizes)
+    upper_i, upper_j = _graph6_pairs(n)
+    value = np.zeros((n, n))
+    value[upper_i, upper_j] = [2.0**t for t in range(len(upper_i) - 1, -1, -1)]
+    value += value.T
+    ends = list(itertools.accumulate(sizes))
+    blocks = [itertools.permutations(range(e - s, e)) for s, e in zip(sizes, ends)]
+    # place[q, a]: the position at which ordering q puts base position a
+    place = np.array([sum(parts, ()) for parts in itertools.product(*blocks)])
+    return value[place[:, upper_i], place[:, upper_j]]
+
+
+def _digits(values, radix_bits, count):
+    """The `count` digits base 2^radix_bits of each value of a 1-d array of
+    integer-valued floats below 2^(radix_bits * count) and 2^52, most
+    significant first, as floats.  Each floor is a rounding at the scale of
+    2^52, stepped down where it rounded up."""
+    import numpy as np
+
+    scaled = values[:, None] * [2.0 ** (-radix_bits * i) for i in range(count - 1, -1, -1)]
+    nearest = scaled + 2.0**52 - 2.0**52
+    heads = nearest - np.where(nearest > scaled, 1.0, 0.0)
+    digits = heads.copy()
+    digits[:, 1:] -= 2.0**radix_bits * heads[:, :-1]
+    return digits
+
+
+def _graph6_keys(n, codes):
+    """The graph6 strings of n-vertex graphs from their codes, each body
+    read as one binary number."""
+    import numpy as np
+
+    nbits = n * (n - 1) // 2
+    width = -(-nbits // 6)
     # built in float and cast once: storing floats into a uint8 slice one
     # column wide (n = 2) runs an integer cast loop nothing else loads
-    text = np.full((m, width + 1), 63.0 + n)
-    text[:, 1:] = (body.reshape(m, width, 6) * [32.0, 16, 8, 4, 2, 1]).sum(axis=2) + 63
+    text = np.full((len(codes), width + 1), 63.0 + n)
+    text[:, 1:] = _digits(codes * 2.0 ** (6 * width - nbits), 6, width) + 63
     blob = text.astype(np.uint8).tobytes().decode("ascii")
     return [blob[i : i + width + 1] for i in range(0, len(blob), width + 1)]
 
@@ -714,14 +775,9 @@ def canonical_key(g, cap=CANONICAL_CAP):
 
 
 def canonical_keys(graphs):
-    """[canonical_key(g) for g in graphs] for graphs of one order, keyed in
-    slices of max(1, BATCH_ENTRIES // n^2).
-
-    Each slice is refined at once.  A graph whose colour classes are each
-    one set of twins has a single ordering to search, the vertices by
-    colour and then by index, so its key is read straight off the permuted
-    adjacency matrices; the others are searched one by one from their
-    batch colours."""
+    """[canonical_key(g) for g in graphs] for graphs of one order: their
+    adjacency stacks, max(1, BATCH_ENTRIES // n^2) graphs each, keyed by
+    `_stack_keys`."""
     graphs = list(graphs)
     orders = {g.n for g in graphs}
     if len(orders) > 1:
@@ -734,20 +790,97 @@ def canonical_keys(graphs):
     if n <= 1:
         return [encode_graph6(g) for g in graphs]
     size = max(1, BATCH_ENTRIES // n**2)
-    keys = []
-    for start in range(0, len(graphs), size):
-        chunk = graphs[start : start + size]
-        adj = _adjacency_stack(chunk)
-        colors = _refine_color_stack(adj)
-        fixed = _one_ordering(adj, colors)
-        fixed_keys = iter(_ordered_keys(adj[fixed], colors[fixed]))
-        keys += [
-            next(fixed_keys)
-            if is_fixed
-            else _graph6_from_columns(n, _search(g.rows, c))
-            for g, c, is_fixed in zip(chunk, colors.astype(int).tolist(), fixed.tolist())
-        ]
+    stacks = (_adjacency_stack(graphs[s : s + size]) for s in range(0, len(graphs), size))
+    keys = [None] * len(graphs)
+    for i, key in _stack_keys(stacks):
+        keys[i] = key
     return keys
+
+
+# Colour-respecting orderings up to which a graph that the single-ordering
+# test does not settle takes the minimum code over all of them in numpy,
+# as the definition of the key reads, instead of the scalar search.
+_BATCH_ORDERINGS = 64
+
+
+def _stack_keys(stacks):
+    """(index, canonical_key) for each graph of a stream of (m, n, n) 0/1
+    float adjacency stacks of one order n >= 2, the index counting graphs
+    across the stream.
+
+    Each stack is refined at once.  A graph whose colour classes are each
+    one set of twins has a single ordering to search, the vertices by
+    colour and then by index, so its key is that ordering's code.  The
+    other graphs with at most _BATCH_ORDERINGS colour-respecting orderings
+    wait in groups of one colour-class-size composition, gathered over the
+    whole stream; a group takes the minimum code over all its orderings in
+    one numpy pass when it fills a slice of max(1, BATCH_ENTRIES // n^2)
+    graphs or the stream ends.  The rest are searched one by one from
+    their batch colours, with bitset rows read off the stack.  Waiting
+    graphs are keyed when their group is, so indices come out of order."""
+    import numpy as np
+
+    groups = {}  # class sizes -> bytes of (int64 indices, float64 base-order codes)
+    start = 0
+    for adj in stacks:
+        m, n, _ = adj.shape
+        if not start:
+            size = max(1, BATCH_ENTRIES // n**2)
+            upper_i, upper_j = _graph6_pairs(n)
+            # the one ordering of n singleton classes: the base order
+            weights = _ordering_weights((1,) * n)[0]
+            bit = np.array([float(1 << v) for v in range(n)])
+            shades = np.arange(n, dtype=float)
+        colors = _refine_color_stack(adj)
+        # each graph with its vertices ordered by colour and then by index
+        place = _ranks_below(colors * n + shades).astype(int)
+        ordered = np.empty_like(adj)
+        ordered[np.arange(m)[:, None, None], place[:, :, None], place[:, None, :]] = adj
+        pairs = ordered[:, upper_i, upper_j]
+        codes = (pairs @ weights[:, None])[:, 0]
+        # keys and class sizes of every graph: whole-stack arrays (see
+        # BATCH_ENTRIES)
+        keys = _graph6_keys(n, codes)
+        blob = codes.tobytes()
+        sizes = np.where(colors[:, :, None] == shades, 1.0, 0.0).sum(axis=1).tolist()
+        fixed = _one_ordering(adj, colors).tolist()
+        for i, code in enumerate(codes.tolist()):
+            if fixed[i]:
+                yield start + i, keys[i]
+                continue
+            # a tuple of known length: tuple() of a generator resizes it,
+            # and the freed tuples then pile up on the interpreter's
+            # freelists
+            composition = tuple([int(k) for k in sizes[i] if k])
+            if math.prod(map(math.factorial, composition)) > _BATCH_ORDERINGS:
+                rows = [int(r) for r in (adj[i] @ bit).tolist()]
+                yield start + i, _graph6_from_columns(n, _search(rows, colors[i].tolist()))
+                continue
+            indices, pending = groups.setdefault(composition, (bytearray(), bytearray()))
+            indices += (start + i).to_bytes(8, "little")
+            pending += blob[8 * i : 8 * i + 8]
+            if len(pending) == 8 * size:
+                del groups[composition]
+                yield from _min_over_orderings(n, composition, indices, pending, size)
+        start += m
+    for composition, (indices, pending) in groups.items():
+        yield from _min_over_orderings(n, composition, indices, pending, size)
+
+
+def _min_over_orderings(n, composition, indices, codes, size):
+    """(index, key) for a group of at most `size` graphs of one
+    colour-class-size composition, from the bytes of their indices and
+    base-order codes: the minimum code over all colour-respecting
+    orderings, one matrix-vector product per ordering.  The codes fill a
+    zero array of `size` rows, so that every group has arrays of one
+    shape (see BATCH_ENTRIES)."""
+    import numpy as np
+
+    full = np.zeros(size)
+    full[: len(codes) // 8] = np.frombuffer(codes)
+    pairs = _digits(full, 1, n * (n - 1) // 2)
+    mins = (pairs @ _ordering_weights(composition)[:, :, None]).min(axis=0)[:, 0]
+    return zip(np.frombuffer(indices, "<i8").tolist(), _graph6_keys(n, mins))
 
 
 # -- structural isomorphism tests for the extremal families ---------------

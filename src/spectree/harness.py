@@ -28,7 +28,7 @@ from .graphs import (
     Path,
     Spider,
     build_family,
-    canonical_key,
+    canonical_keys,
     encode_graph6,
     is_complete_split,
     is_complete_split_plus,
@@ -123,8 +123,9 @@ def _source(spec, n):
     """The graphs of one order as (keys, graphs, parents), three aligned
     sequences in index order.  An exhaustive order hands out the enumeration's own
     tuples: canonical graph6 keys, and the index of each graph's
-    enumeration parent on n - 1 vertices.  Sampled graphs get their keys
-    from `_stable_key`, which can repeat, and parent None."""
+    enumeration parent on n - 1 vertices.  Sampled graphs get keys that
+    can repeat, from one `canonical_keys` call up to CANONICAL_CAP and
+    plain graph6 above, and parent None."""
     src = spec.source
     if src.kind == "exhaustive":
         order = graph_order(n)
@@ -152,7 +153,9 @@ def _source(spec, n):
         ]
     else:
         raise ParameterError(f"unknown source kind {src.kind!r}")
-    return [_stable_key(g) for g in graphs], graphs, [None] * len(graphs)
+    # canonical graph6 while the canonical form reaches n, plain above
+    keys = canonical_keys(graphs) if n <= CANONICAL_CAP else list(map(encode_graph6, graphs))
+    return keys, graphs, [None] * len(graphs)
 
 
 def _patterns(spec):
@@ -191,14 +194,6 @@ def _patterns(spec):
                 )
         return out
     return []
-
-
-def _stable_key(g):
-    """Graph identity for reports: canonical graph6 when small, plain
-    graph6 otherwise."""
-    if g.n <= CANONICAL_CAP:
-        return canonical_key(g)
-    return encode_graph6(g)
 
 
 def run_campaign(spec):

@@ -131,6 +131,17 @@ def brute_force_split_profile(tree):
     return best
 
 
+def dense_ranks(row):
+    """Each entry's rank among the distinct values of the row."""
+    distinct = sorted(set(row))
+    return [distinct.index(x) for x in row]
+
+
+def ranks_below(row):
+    """Each entry's count of entries below it in the row."""
+    return [sum(y < x for y in row) for x in row]
+
+
 def frozen_canonical_key(g):
     """The canonical form as it stood before twin pruning, kept frozen as an
     oracle: stable 1-WL colours, then the minimum column code over every

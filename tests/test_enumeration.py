@@ -13,7 +13,6 @@ from spectree.graphs import (
     Path,
     build_family,
     canonical_key,
-    canonical_keys,
     decode_graph6,
     encode_graph6,
 )
@@ -81,7 +80,7 @@ class TestAllGraphs:
 
     @pytest.mark.skipif(
         os.environ.get("SPECTREE_SLOW") != "1",
-        reason="opt-in n = 9 tier, about 15 s; set SPECTREE_SLOW=1",
+        reason="opt-in n = 9 tier, about 9 s; set SPECTREE_SLOW=1",
     )
     def test_opt_in_n9_count(self):
         assert len(graph_order(9, cap=9).keys) == 274668
@@ -133,19 +132,26 @@ class TestAugmentation:
         assert unpruned_augmentation_keys(n) == list(graph_order(n).keys)
 
     def test_canonical_key_calls(self, monkeypatch):
-        # twin-orbit augmentation canonicalises 2,088 children for n = 1..7,
-        # against 3,131 with the maximum-degree filter alone
+        # twin-orbit augmentation keys 2,088 children for n = 1..7, against
+        # 3,131 with the maximum-degree filter alone; every one of them
+        # passes through the stack keyer
         keyed = []
 
-        def counting_keys(graphs):
-            keyed.extend(g.n for g in graphs)
-            return canonical_keys(graphs)
+        def counting_keys(stacks):
+            def counted():
+                for stack in stacks:
+                    keyed.extend([stack.shape[1]] * len(stack))
+                    yield stack
 
+            return stack_keys(counted())
+
+        stack_keys = enumeration._stack_keys
         monkeypatch.setattr(enumeration, "_cache", {})
-        monkeypatch.setattr(enumeration, "canonical_keys", counting_keys)
+        monkeypatch.setattr(enumeration, "_stack_keys", counting_keys)
         counts = [len(graph_order(n).keys) for n in range(1, 8)]
         assert counts == [1, 2, 4, 11, 34, 156, 1044]
-        assert len(keyed) <= 2088
+        assert len(keyed) == 2088
+        assert sorted(set(keyed)) == list(range(2, 8))
 
 
 class TestParentLinks:
@@ -223,6 +229,24 @@ class TestPerturbation:
     def test_base_type_check(self):
         with pytest.raises(ParameterError):
             perturb_extremal(Path(5), add=1)
+
+    @pytest.mark.parametrize(
+        "base, add, remove, seed, added, removed",
+        [
+            (CompleteSplit(10, 2), 2, 1, 3, [(4, 8), (4, 9)], [(0, 8)]),
+            (CompleteSplitPlus(24, 3), 2, 0, 7, [(5, 6), (7, 17)], []),
+            (CompleteSplitPlus(40, 3), 1, 1, 11, [(25, 38)], [(1, 20)]),
+            (CompleteSplit(12, 4), 0, 3, 5, [], [(1, 7), (2, 4), (3, 7)]),
+            (CompleteSplitPlus(30, 3), 3, 2, 12345, [(7, 8), (9, 20), (11, 19)], [(0, 2), (1, 26)]),
+        ],
+    )
+    def test_pinned_draws(self, base, add, remove, seed, added, removed):
+        # the draws seed the perturbation campaigns, so they are pinned:
+        # the non-edges are listed in (i, j) order, whatever builds them
+        edges = set(build_family(base).edges())
+        g = perturb_extremal(base, add=add, remove=remove, seed=seed)
+        assert sorted(set(g.edges()) - edges) == added
+        assert sorted(edges - set(g.edges())) == removed
 
     def test_remove_too_many(self):
         with pytest.raises(ParameterError):

@@ -1,8 +1,11 @@
 import itertools
+import math
 import random
 import sys
 import time
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +22,9 @@ from spectree.graphs import (
     Spider,
     Star,
     _adjacency_stack,
+    _dense_ranks,
     _one_ordering,
+    _ranks_below,
     _refine_color_stack,
     _refine_colors,
     build_family,
@@ -39,7 +44,7 @@ from spectree.graphs import (
 )
 from spectree.enumeration import _children, all_graphs, graph_order, random_graph
 
-from oracles import frozen_canonical_key
+from oracles import dense_ranks, frozen_canonical_key, ranks_below
 
 
 def random_graph_raw(n, p, rng):
@@ -313,7 +318,40 @@ class TestCanonical:
 
 
 def augmentation_children(n):
-    return [g for g, _ in _children(n)]
+    """The children of `_children(n)`, each built from its (parent, mask)
+    pair as the parent plus a new vertex n - 1 joined to the mask."""
+    parents = graph_order(n - 1).graphs
+    return [
+        Graph.from_edges(n, parents[p].edges() + [(v, n - 1) for v in range(n - 1) if mask >> v & 1])
+        for p, mask in _children(n)
+    ]
+
+
+def ordering_count(g):
+    """Colour-respecting orderings of g: the product of the factorials of
+    its stable colour-class sizes."""
+    return math.prod(math.factorial(k) for k in Counter(_refine_colors(g)).values())
+
+
+def keying_paths(monkeypatch):
+    """Record, per canonical_keys call, the stream indices that the batch
+    minimum over orderings keys and the bitset rows that the scalar search
+    gets."""
+    batched, searched = [], []
+    min_over, search = graphs._min_over_orderings, graphs._search
+
+    def batch(*args):
+        keyed = list(min_over(*args))
+        batched.extend(i for i, _ in keyed)
+        return keyed
+
+    def scalar(rows, colors):
+        searched.append(tuple(rows))
+        return search(rows, colors)
+
+    monkeypatch.setattr(graphs, "_min_over_orderings", batch)
+    monkeypatch.setattr(graphs, "_search", scalar)
+    return batched, searched
 
 
 def hard_graphs():
@@ -359,21 +397,72 @@ class TestCanonicalKeys:
         assert canonical_keys(mixed) == [frozen_canonical_key(g) for g in mixed]
 
     def test_searched_children(self, monkeypatch):
-        # 18,558 of the 24,282 children on n <= 8 have one ordering per
-        # colouring; only the other 5,724 reach the search
-        searched = []
-
-        def counting(rows, colors):
-            searched.append(len(rows))
-            return search(rows, colors)
-
-        search = graphs._search
-        monkeypatch.setattr(graphs, "_search", counting)
+        # of the 24,282 children on n <= 8, 18,558 have one ordering per
+        # colouring, 5,211 have at most 64 colour-respecting orderings and
+        # take the batch minimum over them, and only the other 513 reach
+        # the scalar search (5,724 did before the batch minimum)
         children = [augmentation_children(n) for n in range(2, 9)]
+        batched, searched = keying_paths(monkeypatch)
         for batch in children:
             canonical_keys(batch)
         assert sum(map(len, children)) == 24282
-        assert len(searched) == 5724
+        assert len(batched) == 5211
+        assert len(searched) == 513
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_each_path_against_the_oracle(self, n, monkeypatch):
+        # every child that the batch minimum keys has at most 64 orderings,
+        # every searched one more, and both agree with the frozen oracle
+        children = augmentation_children(n)
+        batched, searched = keying_paths(monkeypatch)
+        assert canonical_keys(children) == [frozen_canonical_key(g) for g in children]
+        assert all(ordering_count(children[i]) <= 64 for i in batched)
+        for rows in searched:
+            assert ordering_count(Graph(n, rows, sum(r.bit_count() for r in rows) // 2)) > 64
+        if n >= 4:
+            assert batched
+
+    @pytest.mark.parametrize(
+        "edges, n, count, path",
+        [
+            # classes of 4 and 2: 48 orderings, the most that n <= 10 can
+            # have up to 64, since 64 = (2!)^6 needs 12 vertices
+            ([(0, 5), (3, 4)], 6, 48, "batch"),
+            # classes of 3, 3 and 2: 72, the fewest above 64
+            ([(0, 7), (3, 6), (4, 5), (5, 6), (5, 7), (6, 7)], 8, 72, "search"),
+        ],
+    )
+    def test_ordering_count_picks_the_path(self, edges, n, count, path, monkeypatch):
+        rng = random.Random(count)
+        g = Graph.from_edges(n, edges)
+        assert ordering_count(g) == count
+        adj = _adjacency_stack([g])
+        assert not _one_ordering(adj, _refine_color_stack(adj))[0]
+        for _ in range(4):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = g.relabel(perm)
+            batched, searched = keying_paths(monkeypatch)
+            assert canonical_keys([h]) == [frozen_canonical_key(g)]
+            assert (batched, searched) == (([0], []) if path == "batch" else ([], [h.rows]))
+            monkeypatch.undo()
+
+    def test_ranks_against_python_ranks(self):
+        # rows with ties, with one value, sorted both ways, and codes just
+        # below 2^53, where neighbouring floats are one apart
+        rng = random.Random(5)
+        top = 2.0**53
+        rows = [[3, 1, 3, 2, 1, 0, 3, 2], [5] * 8, list(range(8)), list(range(7, -1, -1))]
+        rows += [[rng.randint(0, 3) for _ in range(10)] for _ in range(50)]
+        rows += [[top - 1 - rng.randint(0, 3) for _ in range(10)] for _ in range(20)]
+        rows += [[rng.choice([0.0, top - 1, top - 2]) for _ in range(10)] for _ in range(20)]
+        for width in (8, 10):
+            batch = [r for r in rows if len(r) == width]
+            values = np.array(batch, dtype=float)
+            ranks, counts = _dense_ranks(values)
+            assert ranks.tolist() == [dense_ranks(r) for r in batch]
+            assert counts.tolist() == [len(set(r)) for r in batch]
+            assert _ranks_below(values).tolist() == [ranks_below(r) for r in batch]
 
     def test_batch_colours_match_refine_colors(self):
         rng = random.Random(3)

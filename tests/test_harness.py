@@ -186,6 +186,25 @@ class TestMuCampaign:
         assert excluded["key"] == canonical_key(build_family(Complete(n)))
         assert report.totals["hypothesis_satisfying"] == 0
 
+    @pytest.mark.parametrize(
+        "campaign, digest",
+        [
+            ("conjecture_a", "88d7cae2e5fdb1cdcb7670f082915802f92cbfd8aa1a83732c7aebb1114e6c5a"),
+            ("lemma_suite", "ae876c2c3382df7498bddc95d7e82219677da6f5e3aeefb9a87a92837e86a230"),
+        ],
+    )
+    def test_pinned_random_source_n7(self, campaign, digest):
+        # 60 draws on 7 vertices, keyed by one canonical_keys call: sha256
+        # of the report outside its timings, pinned from the per-graph
+        # canonical_key keys
+        spec = CampaignSpec(campaign, 2, 7, 7, Source("random", count=60, seed=3))
+        report = run_campaign(spec)
+        keys = [v["key"] for v in report.verdicts]
+        assert sorted(keys) == sorted(canonical_key(decode_graph6(k)) for k in keys)
+        assert len(set(keys)) == 56
+        payload = [report.verdicts, report.violations, report.totals, report.empirical_thresholds]
+        assert hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest() == digest
+
     def test_random_source_deterministic(self):
         # 30 draws on 4 vertices (11 classes) repeat keys; verdicts come in
         # (n, key, index) order and two runs agree byte for byte outside
