@@ -41,6 +41,7 @@ from .harness import (
     Source,
     SCHEMA_VERSION,
     VerificationReport,
+    _ROW_FIELDS,
     render_report,
     run_campaign,
 )
@@ -263,6 +264,11 @@ def _dispatch(args):
             raise ParameterError(
                 f"{args.path}: schema_version {version!r} is not {SCHEMA_VERSION}"
             )
+        rows = data.get("verdicts")
+        if not isinstance(rows, list) or not all(
+            isinstance(v, dict) and v.keys() >= set(_ROW_FIELDS) for v in rows
+        ):
+            raise ParameterError(f"{args.path}: verdicts are not rows of {', '.join(_ROW_FIELDS)}")
         try:
             report = VerificationReport(**data)
         except TypeError as exc:

@@ -8,10 +8,10 @@ from itertools import islice
 
 from .errors import CapExceededError, ParameterError
 from .graphs import (
-    BATCH_ENTRIES,
     CompleteSplit,
     CompleteSplitPlus,
     Graph,
+    _slice_size,
     _stack_keys,
     build_family,
     decode_graph6,
@@ -113,7 +113,7 @@ def _children(n):
 
 def _child_stacks(n, starts):
     """The children of `_children(n)` as (m, n, n) 0/1 float adjacency
-    stacks of max(1, BATCH_ENTRIES // n^2): each parent's matrix, taken
+    stacks of `_slice_size(n)`: each parent's matrix, taken
     from one stack of the n - 1 order, bordered by its child's mask bits.
     Appends to `starts`, for each parent in turn, the index of its first
     child in generation order."""
@@ -132,7 +132,7 @@ def _child_stacks(n, starts):
     base = unpack(r for g in prev for r in g.rows).reshape(len(prev), n - 1, n - 1)
     children = _children(n)
     done = 0
-    while batch := list(islice(children, max(1, BATCH_ENTRIES // n**2))):
+    while batch := list(islice(children, _slice_size(n))):
         index, masks = zip(*batch)
         for parent in index:
             while len(starts) <= parent:

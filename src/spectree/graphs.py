@@ -476,10 +476,11 @@ def parse_edge_list(text):
 
 # -- adjacency stacks --------------------------------------------------------
 
-# Matrix entries per batched numpy pass: spectral_radii and canonical_keys
-# take n-vertex graphs in slices of max(1, BATCH_ENTRIES // n^2), 256 graphs
-# at n = 8 and 10 at n = 40.  Bounding entries rather than graphs keeps the
-# transient arrays small at every order.
+# Matrix entries per batched numpy pass: every stack of n-vertex graphs
+# (`_graph_stacks`, the enumeration's `_child_stacks` and the groups of
+# `_stack_keys`) holds `_slice_size(n)` graphs, 256 at n = 8 and 10 at
+# n = 40.  Bounding entries rather than graphs keeps the transient arrays
+# small at every order.
 #
 # The functions below import numpy when they run.  This module is the
 # package's first import, and loading numpy from here instead of from
@@ -510,6 +511,22 @@ def _adjacency_stack(graphs, dtype=float):
         np.frombuffer(packed, np.uint8).reshape(-1, width), axis=1, count=n, bitorder="little"
     )
     return bits.reshape(len(graphs), n, n).astype(dtype)
+
+
+def _slice_size(n):
+    """Graphs per stack of n-vertex graphs (see BATCH_ENTRIES)."""
+    return max(1, BATCH_ENTRIES // n**2)
+
+
+def _graph_stacks(graphs):
+    """The float adjacency stacks of a list of graphs of one order, in
+    slices of `_slice_size(n)`; a batch of mixed orders is rejected here,
+    before any stack is built."""
+    orders = {g.n for g in graphs}
+    if len(orders) > 1:
+        raise ParameterError(f"a batch needs one order, got {sorted(orders)}")
+    size = _slice_size(max({1, *orders}))
+    return (_adjacency_stack(graphs[s : s + size]) for s in range(0, len(graphs), size))
 
 
 # -- canonical form --------------------------------------------------------
@@ -561,38 +578,22 @@ def _ranks_below(values):
     return np.where(values[:, :, None] > values[:, None, :], 1.0, 0.0).sum(axis=2)
 
 
-def _dense_ranks(values):
-    """Per row of an (m, n) float array, each entry's rank among the row's
-    distinct values and the number of distinct values, both as floats.
-
-    Pairwise comparisons, since n <= CANONICAL_CAP: a per-row argsort
-    is faster but maps a sorting kernel (see BATCH_ENTRIES)."""
-    import numpy as np
-
-    index = np.arange(values.shape[1], dtype=float)
-    gaps = values[:, :, None] - values[:, None, :]
-    # u leads its value when no earlier entry shares it
-    spread = np.abs(gaps)
-    spread += np.where(index[:, None] > index, 0.0, np.inf)
-    leads = np.where(spread.min(axis=2) > 0, 1.0, 0.0)
-    del spread
-    return np.where(gaps > 0, leads[:, None, :], 0.0).sum(axis=2), leads.sum(axis=1)
-
-
 def _refine_color_stack(adj):
-    """`_refine_colors` of every graph in an (m, n, n) 0/1 float stack, as
-    an (m, n) float array.  A signature (c, sorted neighbour colours) is
-    coded as c * B^n - sum of B^(n-1-colour(u)) over the neighbours u,
-    B = n + 1: vertices of one colour have one degree, so the neighbour
-    lists compared have one length, and the codes sort as the tuples do.
-    The codes stay below 2^53 for n <= CANONICAL_CAP, so they are exact.
+    """The stable colouring of `_refine_colors` for every graph in an
+    (m, n, n) 0/1 float stack, as an (m, n) float array.  A signature
+    (c, sorted neighbour colours) is coded as c * B^n - sum of
+    B^(n-1-colour(u)) over the neighbours u, B = n + 1: vertices of one
+    colour have one degree, so the neighbour lists compared have one
+    length, and the codes sort as the tuples do.  The codes stay below
+    2^53 for n <= CANONICAL_CAP, so they are exact.
 
     The rounds colour each vertex by the number of signatures below its
-    own, which splits and orders the classes as dense ranks would, and
-    `_dense_ranks` relabels the stable colouring once.  A split raises the
-    colour of some vertex and lowers none, so a row whose colour sum holds
-    is stable; a row whose sum is n(n - 1)/2 is discrete.  Either keeps
-    its colours in later rounds."""
+    own, which splits and orders the classes as the dense ranks of
+    `_refine_colors` do.  Every reader uses only the colours' order and
+    ties, so they are returned as they are.  A split raises the colour of
+    some vertex and lowers none, so a row whose colour sum holds is
+    stable; a row whose sum is n(n - 1)/2 is discrete.  Either keeps its
+    colours in later rounds."""
     import numpy as np
 
     n = adj.shape[1]
@@ -607,24 +608,8 @@ def _refine_color_stack(adj):
         colors = _ranks_below(sigs)
         new = colors.sum(axis=1)
         if np.minimum(new - total, discrete - new).max() == 0:
-            return _dense_ranks(colors)[0]
+            return colors
         total = new
-
-
-def _one_ordering(adj, colors):
-    """Per graph of the stack, whether each of its colour classes is one
-    set of twins, so that the search below has a single ordering to try."""
-    import numpy as np
-
-    bit = np.array([float(1 << v) for v in range(adj.shape[1])])
-    # rows u and v agree outside {u, v} when their codes differ only by
-    # the entries (u, v) and (v, u)
-    codes = (adj @ bit[:, None])[:, :, 0]
-    apart = codes[:, :, None] - codes[:, None, :]
-    apart -= adj * (bit - bit[:, None])
-    np.abs(apart, out=apart)
-    same = colors[:, :, None] == colors[:, None, :]
-    return np.where(same, apart, 0.0).max(axis=2).max(axis=1) == 0
 
 
 def _graph6_pairs(n):
@@ -769,19 +754,14 @@ def canonical_key(g, cap=CANONICAL_CAP):
     """
     if g.n > cap:
         raise CapExceededError(f"canonical form capped at n={cap}, got n={g.n}")
-    if g.n <= 1:
-        return encode_graph6(g)
     return _graph6_from_columns(g.n, _search(g.rows, _refine_colors(g)))
 
 
 def canonical_keys(graphs):
     """[canonical_key(g) for g in graphs] for graphs of one order: their
-    adjacency stacks, max(1, BATCH_ENTRIES // n^2) graphs each, keyed by
-    `_stack_keys`."""
+    `_graph_stacks`, keyed by `_stack_keys`."""
     graphs = list(graphs)
-    orders = {g.n for g in graphs}
-    if len(orders) > 1:
-        raise ParameterError(f"a batch needs one order, got {sorted(orders)}")
+    stacks = _graph_stacks(graphs)
     if not graphs:
         return []
     n = graphs[0].n
@@ -789,17 +769,15 @@ def canonical_keys(graphs):
         raise CapExceededError(f"canonical form capped at n={CANONICAL_CAP}, got n={n}")
     if n <= 1:
         return [encode_graph6(g) for g in graphs]
-    size = max(1, BATCH_ENTRIES // n**2)
-    stacks = (_adjacency_stack(graphs[s : s + size]) for s in range(0, len(graphs), size))
     keys = [None] * len(graphs)
     for i, key in _stack_keys(stacks):
         keys[i] = key
     return keys
 
 
-# Colour-respecting orderings up to which a graph that the single-ordering
-# test does not settle takes the minimum code over all of them in numpy,
-# as the definition of the key reads, instead of the scalar search.
+# Colour-respecting orderings up to which a graph takes the minimum code
+# over all of them in numpy, as the definition of the key reads, instead of
+# the scalar search.
 _BATCH_ORDERINGS = 64
 
 
@@ -808,16 +786,17 @@ def _stack_keys(stacks):
     float adjacency stacks of one order n >= 2, the index counting graphs
     across the stream.
 
-    Each stack is refined at once.  A graph whose colour classes are each
-    one set of twins has a single ordering to search, the vertices by
-    colour and then by index, so its key is that ordering's code.  The
-    other graphs with at most _BATCH_ORDERINGS colour-respecting orderings
-    wait in groups of one colour-class-size composition, gathered over the
-    whole stream; a group takes the minimum code over all its orderings in
-    one numpy pass when it fills a slice of max(1, BATCH_ENTRIES // n^2)
-    graphs or the stream ends.  The rest are searched one by one from
-    their batch colours, with bitset rows read off the stack.  Waiting
-    graphs are keyed when their group is, so indices come out of order."""
+    Each stack is refined at once, and each graph takes its path from P,
+    the number of its colour-respecting orderings: the product of the
+    factorials of its colour-class sizes.  A discrete colouring (P = 1)
+    has one ordering, the vertices by colour, so the key is its code.  A
+    graph with P <= _BATCH_ORDERINGS waits in a group of one
+    colour-class-size composition, gathered over the whole stream; a group
+    takes the minimum code over all its orderings in one numpy pass when
+    it fills a slice of `_slice_size(n)` graphs or the stream ends.  The
+    rest are searched one by one from their batch colours, with bitset
+    rows read off the stack.  Waiting graphs are keyed when their group
+    is, so indices come out of order."""
     import numpy as np
 
     groups = {}  # class sizes -> bytes of (int64 indices, float64 base-order codes)
@@ -825,7 +804,7 @@ def _stack_keys(stacks):
     for adj in stacks:
         m, n, _ = adj.shape
         if not start:
-            size = max(1, BATCH_ENTRIES // n**2)
+            size = _slice_size(n)
             upper_i, upper_j = _graph6_pairs(n)
             # the one ordering of n singleton classes: the base order
             weights = _ordering_weights((1,) * n)[0]
@@ -843,16 +822,16 @@ def _stack_keys(stacks):
         keys = _graph6_keys(n, codes)
         blob = codes.tobytes()
         sizes = np.where(colors[:, :, None] == shades, 1.0, 0.0).sum(axis=1).tolist()
-        fixed = _one_ordering(adj, colors).tolist()
-        for i, code in enumerate(codes.tolist()):
-            if fixed[i]:
-                yield start + i, keys[i]
-                continue
+        for i in range(m):
             # a tuple of known length: tuple() of a generator resizes it,
             # and the freed tuples then pile up on the interpreter's
             # freelists
             composition = tuple([int(k) for k in sizes[i] if k])
-            if math.prod(map(math.factorial, composition)) > _BATCH_ORDERINGS:
+            orderings = math.prod(map(math.factorial, composition))
+            if orderings == 1:
+                yield start + i, keys[i]
+                continue
+            if orderings > _BATCH_ORDERINGS:
                 rows = [int(r) for r in (adj[i] @ bit).tolist()]
                 yield start + i, _graph6_from_columns(n, _search(rows, colors[i].tolist()))
                 continue

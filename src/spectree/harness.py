@@ -445,12 +445,14 @@ def report_to_json(report):
     return json.dumps(asdict(report), sort_keys=True, indent=2) + "\n"
 
 
+# the fields of a verdict row, in CSV column order
+_ROW_FIELDS = ("n", "index", "key", "mu", "classification", "conclusion_holds", "missing", "violation")
+
+
 def report_to_csv(report):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["n", "index", "key", "mu", "classification", "conclusion_holds", "missing", "violation"]
-    )
+    writer.writerow(_ROW_FIELDS)
     for v in report.verdicts:
         writer.writerow(
             [

@@ -20,11 +20,11 @@ from .errors import (
     ParameterError,
 )
 from .graphs import (
-    BATCH_ENTRIES,
     CompleteSplit,
     CompleteSplitPlus,
     Graph,
     _adjacency_stack,
+    _graph_stacks,
     bits,
 )
 
@@ -45,8 +45,8 @@ def spectral_radii(graphs, tol=DEFAULT_TOL):
     """Largest adjacency eigenvalue of each of the graphs, which must all
     have the same order n >= 1, as a list of SpectralResult.
 
-    One LAPACK ``eigh`` per slice of max(1, BATCH_ENTRIES // n^2) graphs,
-    on the stack of their adjacency matrices: a disconnected graph's
+    One LAPACK ``eigh`` per stack of `_graph_stacks`, the adjacency
+    matrices of one slice of the graphs: a disconnected graph's
     matrix is block-diagonal, so its value is already the largest over its
     components.  Each reported residual is the infinity norm ||Av - mu v||
     of the returned unit eigenvector; the first graph whose residual
@@ -54,19 +54,13 @@ def spectral_radii(graphs, tol=DEFAULT_TOL):
     ``best``.
     """
     graphs = list(graphs)
-    orders = {g.n for g in graphs}
-    if len(orders) > 1:
-        raise ParameterError(f"a batch needs one order, got {sorted(orders)}")
-    if 0 in orders:
+    stacks = _graph_stacks(graphs)
+    if graphs and graphs[0].n == 0:
         raise ParameterError("spectral radius undefined for the empty graph")
     if tol <= 0:
         raise ParameterError("tol must be positive")
-    if not graphs:
-        return []
-    size = max(1, BATCH_ENTRIES // graphs[0].n ** 2)
     results = []
-    for start in range(0, len(graphs), size):
-        a = _adjacency_stack(graphs[start : start + size])
+    for a in stacks:
         w, v = np.linalg.eigh(a)
         mu = w[:, -1]
         x = v[:, :, -1:]

@@ -108,16 +108,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err and str(cfg) in err
 
-    @pytest.mark.parametrize("content", [None, "not json {", '{"schema_version": 1}'])
+    # every report field but the verdicts
+    REPORT_FIELDS = (
+        '"schema_version": 1, "spec": {}, "totals": {}, "violations": [], "boundary": [], '
+        '"empirical_thresholds": {}, "timings": {}, "tool_version": "0"'
+    )
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            None,
+            "not json {",
+            '{"schema_version": 1}',
+            '{"verdicts": [{"n": 1}], ' + REPORT_FIELDS + "}",
+            '{"verdicts": "abc", ' + REPORT_FIELDS + "}",
+        ],
+    )
     def test_usage_error_bad_report(self, capsys, tmp_path, content):
-        # a missing file, non-JSON, and JSON missing report fields
+        # a missing file, non-JSON, JSON missing report fields, and verdicts
+        # that are not rows of the eight row fields; nothing is written
         path = tmp_path / "r.json"
+        out = tmp_path / "out.txt"
         if content is not None:
             path.write_text(content)
-        assert main(["report", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:") and str(path) in captured.err
+        for fmt in ("csv", "json"):
+            assert main(["report", str(path), "--format", fmt, "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
+            assert captured.err.startswith("error:") and str(path) in captured.err
 
     @pytest.mark.parametrize(
         "argv, token",

@@ -22,8 +22,6 @@ from spectree.graphs import (
     Spider,
     Star,
     _adjacency_stack,
-    _dense_ranks,
-    _one_ordering,
     _ranks_below,
     _refine_color_stack,
     _refine_colors,
@@ -40,6 +38,7 @@ from spectree.graphs import (
     m_copies,
     neighborhood_shells,
     parse_edge_list,
+    twin_classes,
     write_edge_list,
 )
 from spectree.enumeration import _children, all_graphs, graph_order, random_graph
@@ -385,8 +384,7 @@ class TestCanonicalKeys:
     def test_graphs_that_need_the_search(self):
         rng = random.Random(8)
         for g in hard_graphs():
-            adj = _adjacency_stack([g])
-            assert not _one_ordering(adj, _refine_color_stack(adj))[0]
+            assert ordering_count(g) > 64
             # alone, the slice has no graph with a single ordering
             assert canonical_keys([g]) == [frozen_canonical_key(g)]
             perm = list(range(g.n))
@@ -397,17 +395,22 @@ class TestCanonicalKeys:
         assert canonical_keys(mixed) == [frozen_canonical_key(g) for g in mixed]
 
     def test_searched_children(self, monkeypatch):
-        # of the 24,282 children on n <= 8, 18,558 have one ordering per
-        # colouring, 5,211 have at most 64 colour-respecting orderings and
-        # take the batch minimum over them, and only the other 513 reach
-        # the scalar search (5,724 did before the batch minimum)
+        # of the 24,282 children on n <= 8, 8,596 have a discrete colouring
+        # and are keyed off their base order, 15,045 have at most 64
+        # colour-respecting orderings and take the batch minimum over them,
+        # and only the other 641 reach the scalar search (5,724 did before
+        # the batch minimum)
         children = [augmentation_children(n) for n in range(2, 9)]
         batched, searched = keying_paths(monkeypatch)
         for batch in children:
             canonical_keys(batch)
-        assert sum(map(len, children)) == 24282
-        assert len(batched) == 5211
-        assert len(searched) == 513
+        total = sum(map(len, children))
+        assert total == 24282
+        assert len(batched) == 15045
+        assert len(searched) == 641
+        base = total - len(batched) - len(searched)
+        assert base == 8596
+        assert sum(ordering_count(g) == 1 for batch in children for g in batch) == base
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_each_path_against_the_oracle(self, n, monkeypatch):
@@ -416,7 +419,7 @@ class TestCanonicalKeys:
         children = augmentation_children(n)
         batched, searched = keying_paths(monkeypatch)
         assert canonical_keys(children) == [frozen_canonical_key(g) for g in children]
-        assert all(ordering_count(children[i]) <= 64 for i in batched)
+        assert all(1 < ordering_count(children[i]) <= 64 for i in batched)
         for rows in searched:
             assert ordering_count(Graph(n, rows, sum(r.bit_count() for r in rows) // 2)) > 64
         if n >= 4:
@@ -435,13 +438,11 @@ class TestCanonicalKeys:
     def test_ordering_count_picks_the_path(self, edges, n, count, path, monkeypatch):
         rng = random.Random(count)
         g = Graph.from_edges(n, edges)
-        assert ordering_count(g) == count
-        adj = _adjacency_stack([g])
-        assert not _one_ordering(adj, _refine_color_stack(adj))[0]
         for _ in range(4):
             perm = list(range(n))
             rng.shuffle(perm)
             h = g.relabel(perm)
+            assert ordering_count(h) == count
             batched, searched = keying_paths(monkeypatch)
             assert canonical_keys([h]) == [frozen_canonical_key(g)]
             assert (batched, searched) == (([0], []) if path == "batch" else ([], [h.rows]))
@@ -459,9 +460,6 @@ class TestCanonicalKeys:
         for width in (8, 10):
             batch = [r for r in rows if len(r) == width]
             values = np.array(batch, dtype=float)
-            ranks, counts = _dense_ranks(values)
-            assert ranks.tolist() == [dense_ranks(r) for r in batch]
-            assert counts.tolist() == [len(set(r)) for r in batch]
             assert _ranks_below(values).tolist() == [ranks_below(r) for r in batch]
 
     def test_batch_colours_match_refine_colors(self):
@@ -469,9 +467,11 @@ class TestCanonicalKeys:
         cases = [augmentation_children(7), hard_graphs()[:3], [hard_graphs()[3]]]
         for n in (9, 10):
             cases.append([random_graph(n, p=rng.random(), seed=seed) for seed in range(100)])
+        # the batch colours count the signatures below each vertex's own;
+        # their order and ties give the same ordered partition
         for batch in cases:
             colors = _refine_color_stack(_adjacency_stack(batch))
-            assert colors.astype(int).tolist() == [_refine_colors(g) for g in batch]
+            assert [dense_ranks(row) for row in colors.tolist()] == [_refine_colors(g) for g in batch]
 
     def test_search_nodes(self):
         # the search tracks how long a prefix its codes share with the best
@@ -504,6 +504,49 @@ class TestCanonicalKeys:
             canonical_keys([empty_graph(11)])
         with pytest.raises(ParameterError):
             canonical_keys([empty_graph(3), empty_graph(4)])
+
+    def test_orders_zero_and_one_through_the_search(self, monkeypatch):
+        batched, searched = keying_paths(monkeypatch)
+        assert canonical_key(Graph(0, (), 0)) == "?"
+        assert canonical_key(Graph(1, (0,), 0)) == "@"
+        assert (batched, searched) == ([], [(), (0,)])
+
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_twin_heavy_graphs(self, n, monkeypatch):
+        # every colour class is one set of twins, so these graphs have a
+        # single ordering up to automorphism; the number of orderings P
+        # still picks their path: the batch minimum for P <= 64, else the
+        # search
+        def one_twin_class_per_colour(g):
+            colors = _refine_colors(g)
+            return all(
+                len(twin_classes(g.rows, [v for v in range(g.n) if colors[v] == c])) == 1
+                for c in set(colors)
+            )
+
+        rng = random.Random(n)
+        cases = [
+            empty_graph(n),
+            build_family(Complete(n)),
+            build_family(Star(n - 1)),
+            join(empty_graph(2), empty_graph(n - 2)),
+            join(join(empty_graph(1), empty_graph(2)), empty_graph(n - 3)),
+        ]
+        cases[2:] = [g.relabel(rng.sample(range(n), n)) for g in cases[2:]]
+        assert all(map(one_twin_class_per_colour, cases))
+        for seed in range(20):
+            g = plant_twins(random_graph(n - 3, p=0.5, seed=seed), 3, rng)
+            if one_twin_class_per_colour(g) and 1 < ordering_count(g) <= 64:
+                cases.append(g)
+        # every relabelling of the empty graph and of K_n is the graph
+        # itself, so their keys are their graph6 strings (the frozen oracle
+        # would try all n! orderings)
+        expected = [encode_graph6(g) for g in cases[:2]]
+        expected += [frozen_canonical_key(g) for g in cases[2:]]
+        batched, searched = keying_paths(monkeypatch)
+        assert canonical_keys(cases) == expected
+        assert sorted(batched) == list(range(5, len(cases))) and len(batched) >= 10
+        assert searched == [g.rows for g in cases[:5]]
 
 
 class TestFamilyRecognizers:

@@ -16,6 +16,7 @@ from spectree.graphs import (
     Complete,
     CompleteSplit,
     CompleteSplitPlus,
+    _slice_size,
     build_family,
     canonical_key,
     decode_graph6,
@@ -25,7 +26,7 @@ from spectree.embed import all_trees_of_order, contains_tree, longest_path_stats
 from spectree.enumeration import all_graphs, graph_order
 from spectree.spectral import LargestRoot, charpoly, spectral_radii, split_quotient
 from spectree.turan import three_leg_spiders
-from spectree import harness, spectral, turan
+from spectree import harness, turan
 from spectree.harness import (
     CAMPAIGNS,
     CampaignSpec,
@@ -286,7 +287,7 @@ class TestExactThreshold:
     def test_n8_chunked_mu_against_oracle(self, report_n8):
         # 12,346 graphs are solved in many slices; each row's mu is the
         # per-graph edge-list eigh value
-        assert 12346 // (spectral.BATCH_ENTRIES // 64) >= 40
+        assert 12346 // _slice_size(8) >= 40
         for v in report_n8.verdicts:
             mu = eigh_mu(decode_graph6(v["key"]))
             assert abs(v["mu"] - mu) <= 1e-14 * max(1.0, mu), v["key"]
