@@ -266,7 +266,10 @@ def _dispatch(args):
             )
         rows = data.get("verdicts")
         if not isinstance(rows, list) or not all(
-            isinstance(v, dict) and v.keys() >= set(_ROW_FIELDS) for v in rows
+            isinstance(v, dict)
+            and all(f in v and type(v[f]) in _ROW_TYPES[f] for f in _ROW_FIELDS)
+            and all(type(name) is str for name in v["missing"])
+            for v in rows
         ):
             raise ParameterError(f"{args.path}: verdicts are not rows of {', '.join(_ROW_FIELDS)}")
         try:
@@ -276,6 +279,15 @@ def _dispatch(args):
         _emit(render_report(report, args.format), args.out)
         return 0
     raise ParameterError(f"unknown command {args.command!r}")
+
+
+# the JSON types of each verdict row field, matched exactly, since a bool
+# is also an int
+_ROW_TYPES = {
+    "n": (int,), "index": (int,), "key": (str,), "classification": (str,),
+    "mu": (int, float, type(None)), "conclusion_holds": (bool, type(None)),
+    "missing": (list,), "violation": (bool,),
+}
 
 
 # config-file keys and their value types

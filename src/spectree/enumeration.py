@@ -11,6 +11,7 @@ from .graphs import (
     CompleteSplit,
     CompleteSplitPlus,
     Graph,
+    _bit_rows,
     _slice_size,
     _stack_keys,
     build_family,
@@ -119,17 +120,8 @@ def _child_stacks(n, starts):
     child in generation order."""
     import numpy as np
 
-    def unpack(masks):
-        # masks of n - 1 <= 8 bits, one byte each, as rows of n - 1 bits.
-        # bytes() from ints: bytes.join takes an 80-byte buffer view per
-        # item, and freeing that block (585 KB for the 7,308 rows of n = 7)
-        # raises glibc's mmap threshold, which left the n = 8 key dict's
-        # table on the heap, 0.65 MB above what it would have used
-        raw = np.frombuffer(bytes(masks), np.uint8)[:, None]
-        return np.unpackbits(raw, axis=1, count=n - 1, bitorder="little")
-
     prev = graph_order(n - 1).graphs
-    base = unpack(r for g in prev for r in g.rows).reshape(len(prev), n - 1, n - 1)
+    base = _bit_rows((r for g in prev for r in g.rows), n - 1).reshape(len(prev), n - 1, n - 1)
     children = _children(n)
     done = 0
     while batch := list(islice(children, _slice_size(n))):
@@ -138,7 +130,7 @@ def _child_stacks(n, starts):
             while len(starts) <= parent:
                 starts.append(done)
             done += 1
-        new = unpack(masks)
+        new = _bit_rows(masks, n - 1)
         stack = np.zeros((len(batch), n, n), np.uint8)
         stack[:, :-1, :-1] = base[list(index)]
         stack[:, -1, :-1] = new

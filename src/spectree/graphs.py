@@ -7,6 +7,7 @@ word-parallel neighborhood intersection in the embedding hot paths.
 
 from __future__ import annotations
 
+import binascii
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -367,32 +368,37 @@ def neighborhood_shells(g, u):
 # -- graph6 ----------------------------------------------------------------
 
 
-def _graph6_order(n):
-    """The graph6 order field (standard long forms above n=62)."""
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_FROM_BASE64 = bytes.maketrans(_BASE64, bytes(range(63, 127)))  # to graph6's digits
+
+
+def _graph6(n, body):
+    """The graph6 string of an n-vertex graph whose upper-triangle bits,
+    read column by column, are the integer `body`, after n's 18 or 36 bits
+    above n=62.  graph6 cuts bits into sextets as base64 does, so binascii
+    writes them, in linear time, and a translation maps its digits."""
+    nbits = n * (n - 1) // 2
     if n <= 62:
-        return chr(63 + n)
-    shifts = (12, 6, 0) if n <= 258047 else (30, 24, 18, 12, 6, 0)
-    return "~" * (len(shifts) // 3) + "".join(chr(63 + (n >> s & 63)) for s in shifts)
+        head = chr(63 + n)
+    else:
+        head, field = ("~", 18) if n <= 258047 else ("~~", 36)
+        body |= n << nbits
+        nbits += field
+    pad = -nbits % 24
+    data = (body << pad).to_bytes((nbits + pad) // 8, "big")
+    digits = binascii.b2a_base64(data, newline=False).translate(_FROM_BASE64)
+    return head + digits[: -(-nbits // 6)].decode()
 
 
 def encode_graph6(g):
     """Byte-exact graph6 encoding (standard long forms above n=62)."""
     n = g.n
-    out = [_graph6_order(n)]
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        col = g.rows[j]
-        for i in range(j):
-            acc = acc << 1 | (col >> i & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(63 + acc))
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append(chr(63 + (acc << (6 - nbits))))
-    return "".join(out)
+    # the body backwards as an int: column j, read from bit j - 1 down, is
+    # the low j bits of rows[j], and the columns run last first
+    backwards = 0
+    for j in range(n - 1, 0, -1):
+        backwards = backwards << j | g.rows[j] & ((1 << j) - 1)
+    return _graph6(n, int(format(backwards, f"0{n * (n - 1) // 2}b")[::-1], 2))
 
 
 _SIX_BITS = {63 + c: format(c, "06b") for c in range(64)}
@@ -498,19 +504,30 @@ def parse_edge_list(text):
 BATCH_ENTRIES = 1 << 14
 
 
-def _adjacency_stack(graphs, dtype=float):
-    """The (m, n, n) stack of the graphs' adjacency matrices, unpacked
-    from the bitset rows: row v of a graph is rows[v] as n little-endian
-    bits."""
+def _bit_rows(values, n):
+    """The (len, n) uint8 array of the low n bits of each of the ints
+    `values`, little-endian, as adjacency rows unpack from bitset rows."""
     import numpy as np
 
+    width = max(1, -(-n // 8))
+    # bytes() from ints where they fit a byte: bytes.join takes an 80-byte
+    # buffer view per item, and freeing that block (585 KB for the 7,308
+    # rows of n = 7) raises glibc's mmap threshold, which left the n = 8
+    # key dict's table on the heap, 0.65 MB above what it would have used
+    if width == 1:
+        packed = bytes(values)
+    else:
+        packed = b"".join([r.to_bytes(width, "little") for r in values])
+    raw = np.frombuffer(packed, np.uint8).reshape(-1, width)
+    return np.unpackbits(raw, axis=1, count=n, bitorder="little")
+
+
+def _adjacency_stack(graphs, dtype=float):
+    """The (m, n, n) stack of the graphs' adjacency matrices, unpacked
+    from the bitset rows."""
     n = graphs[0].n
-    width = (n + 7) // 8
-    packed = b"".join(r.to_bytes(width, "little") for g in graphs for r in g.rows)
-    bits = np.unpackbits(
-        np.frombuffer(packed, np.uint8).reshape(-1, width), axis=1, count=n, bitorder="little"
-    )
-    return bits.reshape(len(graphs), n, n).astype(dtype)
+    rows = _bit_rows((r for g in graphs for r in g.rows), n)
+    return rows.reshape(len(graphs), n, n).astype(dtype)
 
 
 def _slice_size(n):
@@ -641,41 +658,26 @@ def _ordering_weights(sizes):
     return value[place[:, upper_i], place[:, upper_j]]
 
 
-def _digits(values, radix_bits, count):
-    """The `count` digits base 2^radix_bits of each value of a 1-d array of
-    integer-valued floats below 2^(radix_bits * count) and 2^52, most
-    significant first, as floats.  Each floor is a rounding at the scale of
-    2^52, stepped down where it rounded up."""
+def _code_bits(codes, count):
+    """The `count` bits of each value of a 1-d array of integer-valued
+    floats below 2^count <= 2^52, most significant first, as floats.  Each
+    floor is a rounding at the scale of 2^52, stepped down where it rounded
+    up."""
     import numpy as np
 
-    scaled = values[:, None] * [2.0 ** (-radix_bits * i) for i in range(count - 1, -1, -1)]
+    scaled = codes[:, None] * [2.0**-i for i in range(count - 1, -1, -1)]
     nearest = scaled + 2.0**52 - 2.0**52
     heads = nearest - np.where(nearest > scaled, 1.0, 0.0)
-    digits = heads.copy()
-    digits[:, 1:] -= 2.0**radix_bits * heads[:, :-1]
-    return digits
-
-
-def _graph6_keys(n, codes):
-    """The graph6 strings of n-vertex graphs from their codes, each body
-    read as one binary number."""
-    import numpy as np
-
-    nbits = n * (n - 1) // 2
-    width = -(-nbits // 6)
-    # built in float and cast once: storing floats into a uint8 slice one
-    # column wide (n = 2) runs an integer cast loop nothing else loads
-    text = np.full((len(codes), width + 1), 63.0 + n)
-    text[:, 1:] = _digits(codes * 2.0 ** (6 * width - nbits), 6, width) + 63
-    blob = text.astype(np.uint8).tobytes().decode("ascii")
-    return [blob[i : i + width + 1] for i in range(0, len(blob), width + 1)]
+    bits = heads.copy()
+    bits[:, 1:] -= 2.0 * heads[:, :-1]
+    return bits
 
 
 def _search(rows, colors):
-    """The column codes, one per position, of the minimum upper-triangle
-    bit code over all vertex orderings consistent with the colour classes,
+    """The graph6 body (see `_graph6`) of the minimum upper-triangle bit
+    code over all vertex orderings consistent with the colour classes,
     found by branch-and-bound that explores one vertex of each set of
-    twins at a search node."""
+    twins at a search node and compares the codes column by column."""
     classes = {}
     for v, c in enumerate(colors):
         classes.setdefault(c, []).append(v)
@@ -729,20 +731,10 @@ def _search(rows, colors):
 
     # first position: column code is empty, so recursion handles ordering
     rec(0, None, -1)
-    return best
-
-
-def _graph6_from_columns(n, cols):
-    """The graph6 string whose body is the column codes back to back,
-    padded to 6 bits."""
-    acc = 0
+    body = 0
     for j in range(1, n):
-        acc = acc << j | cols[j]
-    nbits = n * (n - 1) // 2
-    acc <<= -nbits % 6
-    return _graph6_order(n) + "".join(
-        chr(63 + (acc >> s & 63)) for s in range(6 * (-(-nbits // 6) - 1), -1, -6)
-    )
+        body = body << j | best[j]
+    return body
 
 
 def canonical_key(g, cap=CANONICAL_CAP):
@@ -754,7 +746,7 @@ def canonical_key(g, cap=CANONICAL_CAP):
     """
     if g.n > cap:
         raise CapExceededError(f"canonical form capped at n={cap}, got n={g.n}")
-    return _graph6_from_columns(g.n, _search(g.rows, _refine_colors(g)))
+    return _graph6(g.n, _search(g.rows, _refine_colors(g)))
 
 
 def canonical_keys(graphs):
@@ -796,7 +788,8 @@ def _stack_keys(stacks):
     it fills a slice of `_slice_size(n)` graphs or the stream ends.  The
     rest are searched one by one from their batch colours, with bitset
     rows read off the stack.  Waiting graphs are keyed when their group
-    is, so indices come out of order."""
+    is, so indices come out of order.  Every key is written by `_graph6`
+    from its code, and only when it is yielded."""
     import numpy as np
 
     groups = {}  # class sizes -> bytes of (int64 indices, float64 base-order codes)
@@ -817,9 +810,7 @@ def _stack_keys(stacks):
         ordered[np.arange(m)[:, None, None], place[:, :, None], place[:, None, :]] = adj
         pairs = ordered[:, upper_i, upper_j]
         codes = (pairs @ weights[:, None])[:, 0]
-        # keys and class sizes of every graph: whole-stack arrays (see
-        # BATCH_ENTRIES)
-        keys = _graph6_keys(n, codes)
+        # class sizes of every graph: a whole-stack array (see BATCH_ENTRIES)
         blob = codes.tobytes()
         sizes = np.where(colors[:, :, None] == shades, 1.0, 0.0).sum(axis=1).tolist()
         for i in range(m):
@@ -829,11 +820,11 @@ def _stack_keys(stacks):
             composition = tuple([int(k) for k in sizes[i] if k])
             orderings = math.prod(map(math.factorial, composition))
             if orderings == 1:
-                yield start + i, keys[i]
+                yield start + i, _graph6(n, int(codes[i]))
                 continue
             if orderings > _BATCH_ORDERINGS:
                 rows = [int(r) for r in (adj[i] @ bit).tolist()]
-                yield start + i, _graph6_from_columns(n, _search(rows, colors[i].tolist()))
+                yield start + i, _graph6(n, _search(rows, colors[i].tolist()))
                 continue
             indices, pending = groups.setdefault(composition, (bytearray(), bytearray()))
             indices += (start + i).to_bytes(8, "little")
@@ -855,11 +846,13 @@ def _min_over_orderings(n, composition, indices, codes, size):
     shape (see BATCH_ENTRIES)."""
     import numpy as np
 
+    count = len(codes) // 8
     full = np.zeros(size)
-    full[: len(codes) // 8] = np.frombuffer(codes)
-    pairs = _digits(full, 1, n * (n - 1) // 2)
-    mins = (pairs @ _ordering_weights(composition)[:, :, None]).min(axis=0)[:, 0]
-    return zip(np.frombuffer(indices, "<i8").tolist(), _graph6_keys(n, mins))
+    full[:count] = np.frombuffer(codes)
+    pairs = _code_bits(full, n * (n - 1) // 2)
+    mins = (pairs @ _ordering_weights(composition)[:, :, None]).min(axis=0)[:count, 0]
+    keys = [_graph6(n, int(code)) for code in mins.tolist()]
+    return zip(np.frombuffer(indices, "<i8").tolist(), keys)
 
 
 # -- structural isomorphism tests for the extremal families ---------------

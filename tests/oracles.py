@@ -9,7 +9,7 @@ import numpy as np
 
 from spectree.embed import LONGEST_PATH_CAP, Embedding, PathStats, as_graph
 from spectree.errors import CapExceededError, ParameterError
-from spectree.graphs import Graph, encode_graph6
+from spectree.graphs import Graph
 
 
 def brute_force_contains(host, pattern):
@@ -142,12 +142,36 @@ def ranks_below(row):
     return [sum(y < x for y in row) for x in row]
 
 
+def graph6_text(g):
+    """The graph6 string of g as the format defines it: N(n), then the bits
+    x(0,1), x(0,2), x(1,2), x(0,3), x(1,3), x(2,3), ... of the upper
+    triangle, padded with zeros to a multiple of six; each group of six,
+    most significant first, is the character 63 + its value.  N(n) is one
+    such character for n <= 62, "~" and 18 bits for n <= 258047, and "~~"
+    and 36 bits above."""
+
+    def characters(bit_list):
+        bit_list = bit_list + [0] * (-len(bit_list) % 6)
+        return "".join(
+            chr(63 + sum(b << (5 - k) for k, b in enumerate(bit_list[i : i + 6])))
+            for i in range(0, len(bit_list), 6)
+        )
+
+    n = g.n
+    if n <= 62:
+        head = chr(63 + n)
+    else:
+        width = 18 if n <= 258047 else 36
+        head = "~" * (width // 18) + characters([n >> s & 1 for s in range(width - 1, -1, -1)])
+    return head + characters([int(g.has_edge(i, j)) for j in range(1, n) for i in range(j)])
+
+
 def frozen_canonical_key(g):
     """The canonical form as it stood before twin pruning, kept frozen as an
     oracle: stable 1-WL colours, then the minimum column code over every
     colour-respecting ordering, with no symmetry pruning."""
     if g.n <= 1:
-        return encode_graph6(g)
+        return graph6_text(g)
     colors = g.degrees()
     while True:
         sigs = [
@@ -200,7 +224,7 @@ def frozen_canonical_key(g):
     edges = [
         (i, j) for j in range(1, g.n) for i in range(j) if best[j] >> (j - 1 - i) & 1
     ]
-    return encode_graph6(Graph.from_edges(g.n, edges))
+    return graph6_text(Graph.from_edges(g.n, edges))
 
 
 def frozen_longest_path_stats(g, cap=LONGEST_PATH_CAP):

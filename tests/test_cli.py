@@ -114,6 +114,12 @@ class TestExitCodes:
         '"empirical_thresholds": {}, "timings": {}, "tool_version": "0"'
     )
 
+    # a verdict row with one field left to fill in
+    ROW = (
+        '{"n": 5, "index": 0, "key": "D??", "classification": "below", '
+        '"conclusion_holds": null, "violation": false, %s}'
+    )
+
     @pytest.mark.parametrize(
         "content",
         [
@@ -122,11 +128,14 @@ class TestExitCodes:
             '{"schema_version": 1}',
             '{"verdicts": [{"n": 1}], ' + REPORT_FIELDS + "}",
             '{"verdicts": "abc", ' + REPORT_FIELDS + "}",
+            '{"verdicts": [' + ROW % '"mu": 1.0, "missing": 5' + "], " + REPORT_FIELDS + "}",
+            '{"verdicts": [' + ROW % '"mu": "abc", "missing": []' + "], " + REPORT_FIELDS + "}",
         ],
     )
     def test_usage_error_bad_report(self, capsys, tmp_path, content):
-        # a missing file, non-JSON, JSON missing report fields, and verdicts
-        # that are not rows of the eight row fields; nothing is written
+        # a missing file, non-JSON, JSON missing report fields, verdicts
+        # that are not rows of the eight row fields, and rows holding a
+        # value of the wrong type; nothing is written
         path = tmp_path / "r.json"
         out = tmp_path / "out.txt"
         if content is not None:

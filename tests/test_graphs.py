@@ -43,7 +43,7 @@ from spectree.graphs import (
 )
 from spectree.enumeration import _children, all_graphs, graph_order, random_graph
 
-from oracles import dense_ranks, frozen_canonical_key, ranks_below
+from oracles import dense_ranks, frozen_canonical_key, graph6_text, ranks_below
 
 
 def random_graph_raw(n, p, rng):
@@ -207,6 +207,22 @@ class TestGraph6:
         assert s.startswith("~") and not s.startswith("~~")
         h = decode_graph6(s)
         assert h == g and h.e == g.e
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 62, 63, 300])
+    def test_encode_against_definition(self, n):
+        # the order field's short and long forms, and bodies that end on
+        # and off a sextet boundary
+        rng = random.Random(n)
+        for p in (0.0, 0.3, 0.5, 1.0):
+            g = random_graph_raw(n, p, rng)
+            assert encode_graph6(g) == graph6_text(g)
+
+    def test_encode_every_graph_to_n6(self):
+        for n in range(7):
+            pairs = [(i, j) for j in range(1, n) for i in range(j)]
+            for code in range(1 << len(pairs)):
+                g = Graph.from_edges(n, [pq for b, pq in enumerate(pairs) if code >> b & 1])
+                assert encode_graph6(g) == graph6_text(g)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**15 - 1))

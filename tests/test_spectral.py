@@ -210,6 +210,14 @@ class TestSpectralRadii:
         assert abs(res.mu - 2 * math.cos(math.pi / 201)) <= 1e-12
         assert np.array_equal(adjacency_matrix(g), edge_list_adjacency(g))
 
+    @pytest.mark.parametrize("n", [8, 9, 16, 17, 64, 65])
+    def test_adjacency_at_byte_widths(self, n):
+        # rows of one byte and of several, each ending on or just past a
+        # byte boundary
+        g = random_graph(n, p=0.5, seed=n)
+        a = adjacency_matrix(g)
+        assert all(a[u, v] == g.has_edge(u, v) for u in range(n) for v in range(n))
+
     def test_random_70_vertex_graphs(self):
         graphs = [random_graph(70, p=0.3, seed=seed) for seed in (70, 71, 72)]
         for g, res in zip(graphs, spectral_radii(graphs)):
