@@ -177,12 +177,14 @@ def _emit(text, out):
 
 
 def _graph_or_family(arg, n, k):
-    if arg == "-" or all(63 <= ord(ch) <= 126 for ch in arg) and ":" not in arg and arg not in ("S", "S+"):
-        try:
-            return _read_graph(arg)
-        except Graph6Error:
-            pass
-    return build_family(parse_family(arg, n=n, k=k))
+    """A graph6 string, standard input for "-", or else a family token:
+    no family token is valid graph6."""
+    if arg == "-":
+        return _read_graph(arg)
+    try:
+        return decode_graph6(arg)
+    except Graph6Error:
+        return build_family(parse_family(arg, n=n, k=k))
 
 
 def main(argv=None):

@@ -392,69 +392,62 @@ def _graph6(n, body):
 
 def encode_graph6(g):
     """Byte-exact graph6 encoding (standard long forms above n=62)."""
-    n = g.n
-    # the body backwards as an int: column j, read from bit j - 1 down, is
-    # the low j bits of rows[j], and the columns run last first
-    backwards = 0
-    for j in range(n - 1, 0, -1):
-        backwards = backwards << j | g.rows[j] & ((1 << j) - 1)
-    return _graph6(n, int(format(backwards, f"0{n * (n - 1) // 2}b")[::-1], 2))
+    n, rows = g.n, g.rows
+    # column j is bits 0..j-1 of rows[j]; bin() writes them from bit j - 1
+    # down, so the columns go last first and the text is reversed once
+    text = "".join([bin(rows[j] | 1 << j)[-j:] for j in range(n - 1, 0, -1)])
+    return _graph6(n, int(text[::-1] or "0", 2))
 
 
 _SIX_BITS = {63 + c: format(c, "06b") for c in range(64)}
 
 
 def decode_graph6(text):
-    """Decode a graph6 string, rejecting malformed input with its offset."""
+    """Decode a graph6 string, rejecting malformed input with its offset.
+
+    Strict: it accepts exactly the strings `encode_graph6` writes, after an
+    optional ">>graph6<<" header and trailing newlines, and orders up to
+    MAX_VERTICES."""
     s = text.rstrip("\n")
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<") :]
     if not s:
         raise Graph6Error("empty graph6 string", 0)
-    data = []
-    for i, ch in enumerate(s):
-        c = ord(ch)
-        if not 63 <= c <= 126:
-            raise Graph6Error(f"character {ch!r} outside graph6 alphabet", i)
-        data.append(c - 63)
-    pos = 0
-    if data[0] != 63:
-        n = data[0]
-        pos = 1
-    elif len(data) >= 2 and data[1] != 63:
-        if len(data) < 4:
-            raise Graph6Error("truncated long-form order", len(data))
-        n = data[1] << 12 | data[2] << 6 | data[3]
-        pos = 4
-    else:
-        if len(data) < 8:
-            raise Graph6Error("truncated very-long-form order", len(data))
-        n = 0
-        for v in data[2:8]:
-            n = n << 6 | v
-        pos = 8
+    digits = s.translate(_SIX_BITS)
+    if len(digits) != 6 * len(s):  # translate keeps a character not in the table
+        i = next(i for i, ch in enumerate(s) if not "?" <= ch <= "~")
+        raise Graph6Error(f"character {s[i]!r} outside graph6 alphabet", i)
+    # the order field: one digit, or "~" and 3 digits, or "~~" and 6
+    tildes = 0 if s[0] != "~" else 1 if s[1:2] != "~" else 2
+    head = (1, 4, 8)[tildes]
+    if len(s) < head:
+        raise Graph6Error("truncated order", len(s))
+    n = int(digits[6 * tildes : 6 * head], 2)
+    if n > MAX_VERTICES:
+        raise Graph6Error(f"order {n} exceeds cap {MAX_VERTICES}", 0)
+    # the shortest form: a digit up to 62, "~" and 18 bits above (the cap
+    # is far below the 258048 that needs "~~")
+    if tildes != (n > 62):
+        raise Graph6Error(f"order {n} written in a longer form than it needs", 0)
     need = n * (n - 1) // 2
-    avail = 6 * (len(data) - pos)
-    if avail < need:
-        raise Graph6Error(
-            f"need {need} adjacency bits, found {avail}", len(s)
-        )
-    if len(data) - pos > (need + 5) // 6:
-        raise Graph6Error("trailing bytes after adjacency bits", pos + (need + 5) // 6)
-    acc = int("0" + s[pos:].translate(_SIX_BITS), 2)
-    shift = 6 * (len(data) - pos)
+    body = digits[6 * head :]
+    if len(body) < need:
+        raise Graph6Error(f"need {need} adjacency bits, found {len(body)}", len(s))
+    if len(body) >= need + 6:
+        raise Graph6Error("trailing bytes after adjacency bits", head + -(-need // 6))
+    if "1" in body[need:]:
+        raise Graph6Error("non-zero padding bits", len(s) - 1)
     rows = [0] * n
+    t = 0
     for j in range(1, n):
-        shift -= j
-        field = acc >> shift & ((1 << j) - 1)
-        while field:  # bit j - 1 - i of column j is the pair (i, j)
-            low = field & -field
-            i = j - low.bit_length()
+        column = body[t : t + j]  # character i is the pair (i, j)
+        t += j
+        i = column.find("1")
+        while i >= 0:
             rows[i] |= 1 << j
             rows[j] |= 1 << i
-            field ^= low
-    e = sum(r.bit_count() for r in rows) // 2
-    return Graph(n, tuple(rows), e)
+            i = column.find("1", i + 1)
+    return Graph(n, tuple(rows), body.count("1"))
 
 
 # -- edge-list text format -------------------------------------------------

@@ -104,6 +104,10 @@ class CampaignSpec:
             raise ParameterError(f"a {src.kind} source needs count >= 1, got {src.count}")
         if src.kind == "perturbation" and src.radius < 1:
             raise ParameterError(f"a perturbation source needs radius >= 1, got {src.radius}")
+        if src.kind == "perturbation" and not isinstance(
+            src.base, (CompleteSplit, CompleteSplitPlus)
+        ):
+            raise ParameterError("perturbation base must be a complete-split spec")
 
 
 @dataclass
@@ -136,8 +140,6 @@ def _source(spec, n):
             for i in range(src.count)
         ]
     elif src.kind == "perturbation":
-        if not isinstance(src.base, (CompleteSplit, CompleteSplitPlus)):
-            raise ParameterError("perturbation base must be a complete-split spec")
         base = type(src.base)(n, src.base.k)
         # the unperturbed base, then `count` draws per (add, remove) pair
         draws = [

@@ -295,7 +295,7 @@ class LargestRoot:
         roots there than h, whose only possible one is theta.  Then mu >
         theta iff p' (or p: h has no root above theta) has a root above the
         interval; otherwise mu = theta iff theta is a root of h."""
-        p = charpoly([[r >> j & 1 for j in range(g.n)] for r in g.rows])
+        p = charpoly(adjacency_matrix(g))
         chain, h = _sturm_chain(p), _sturm_chain(_gcd(p, self.q))
         lo, hi, den = self._interval
         while _roots_in(chain, (lo, den), (hi, den)) > _roots_in(h, (lo, den), (hi, den)):

@@ -1,10 +1,11 @@
+import io
 import json
 
 import pytest
 
 from spectree import cli
 from spectree.cli import main, parse_family
-from spectree.errors import ParameterError
+from spectree.errors import Graph6Error, ParameterError
 from spectree.graphs import (
     Broom,
     CompleteSplit,
@@ -27,6 +28,13 @@ class TestParseFamily:
     def test_unknown(self):
         with pytest.raises(ParameterError):
             parse_family("mobius")
+
+    def test_no_family_token_is_graph6(self):
+        # a host argument is read as graph6 first, then as a family token
+        names = [*cli._SPLIT_FAMILIES, *cli._PARAM_FAMILIES, "spider"]
+        for token in names + [name.upper() for name in names]:
+            with pytest.raises(Graph6Error):
+                decode_graph6(token)
 
 
 class TestExitCodes:
@@ -161,6 +169,13 @@ class TestExitCodes:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and token in err
+
+    def test_usage_error_bad_graph6_on_stdin(self, capsys, monkeypatch):
+        # "-" is read as graph6 only, so the reader's error is the one shown
+        monkeypatch.setattr("sys.stdin", io.StringIO("D?\n"))
+        assert main(["contains", "-", "path:3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "need 10 adjacency bits" in err
 
     @pytest.mark.parametrize(
         "extra, named",

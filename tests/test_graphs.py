@@ -187,6 +187,46 @@ class TestGraph6:
         with pytest.raises(Graph6Error):
             decode_graph6("B\x1f")
 
+    @pytest.mark.parametrize(
+        "text, offset",
+        # non-zero padding after 1 and after 10 adjacency bits, and K3's
+        # order in the long form
+        [("A`", 1), ("D?}", 2), ("~??Bw", 0)],
+    )
+    def test_rejects_what_encode_never_writes(self, text, offset):
+        with pytest.raises(Graph6Error) as exc:
+            decode_graph6(text)
+        assert exc.value.offset == offset
+
+    def test_accepts_only_what_encode_writes(self):
+        # every order digit up to 5 followed by every body of the right length
+        alphabet = [chr(c) for c in range(63, 127)]
+        for n in range(6):
+            need = n * (n - 1) // 2
+            accepted = 0
+            for body in itertools.product(alphabet, repeat=-(-need // 6)):
+                text = chr(63 + n) + "".join(body)
+                try:
+                    g = decode_graph6(text)
+                except Graph6Error:
+                    continue
+                assert encode_graph6(g) == text
+                accepted += 1
+            assert accepted == 2**need
+
+    def test_order_above_the_cap(self):
+        # rejected at the order field, before the 2 MB body is read
+        n = graphs.MAX_VERTICES + 1
+        order = "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0))
+        with pytest.raises(Graph6Error) as exc:
+            decode_graph6("~" + order + "?" * -(-n * (n - 1) // 12))
+        assert exc.value.offset == 0
+
+    def test_roundtrip_at_the_cap(self):
+        g = build_family(CompleteSplit(graphs.MAX_VERTICES, 2))
+        h = decode_graph6(encode_graph6(g))
+        assert h == g and h.e == g.e
+
     def test_long_form(self):
         g = build_family(Path(100))
         s = encode_graph6(g)
@@ -216,6 +256,7 @@ class TestGraph6:
         for p in (0.0, 0.3, 0.5, 1.0):
             g = random_graph_raw(n, p, rng)
             assert encode_graph6(g) == graph6_text(g)
+            assert decode_graph6(graph6_text(g)) == g
 
     def test_encode_every_graph_to_n6(self):
         for n in range(7):
@@ -223,6 +264,7 @@ class TestGraph6:
             for code in range(1 << len(pairs)):
                 g = Graph.from_edges(n, [pq for b, pq in enumerate(pairs) if code >> b & 1])
                 assert encode_graph6(g) == graph6_text(g)
+                assert decode_graph6(graph6_text(g)) == g
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**15 - 1))

@@ -76,13 +76,16 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize(
         "source",
-        # no draws, negative draws, and a perturbation of radius < 1
+        # no draws, negative draws, a perturbation of radius < 1, and a
+        # perturbation base that is not a complete split, or none
         [
             Source("random", count=-3),
             Source("random", count=0),
             Source("perturbation", count=0, base=CompleteSplit(6, 2)),
             Source("perturbation", count=5, base=CompleteSplit(6, 2), radius=0),
             Source("perturbation", count=5, base=CompleteSplit(6, 2), radius=-1),
+            Source("perturbation", count=5, base=Complete(6)),
+            Source("perturbation", count=5),
         ],
     )
     def test_bad_sampled_source(self, source):
