@@ -178,12 +178,16 @@ def _emit(text, out):
 
 def _graph_or_family(arg, n, k):
     """A graph6 string, standard input for "-", or else a family token:
-    no family token is valid graph6."""
+    no family token is valid graph6.  An argument that names no family
+    fails with the graph6 reader's error."""
     if arg == "-":
         return _read_graph(arg)
     try:
         return decode_graph6(arg)
     except Graph6Error:
+        name = arg.partition(":")[0].lower()
+        if name not in (*_SPLIT_FAMILIES, *_PARAM_FAMILIES, "spider"):
+            raise
         return build_family(parse_family(arg, n=n, k=k))
 
 

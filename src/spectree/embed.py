@@ -24,7 +24,7 @@ from .graphs import (
     decode_graph6,
     twin_classes,
 )
-from .spectral import walk_sum_B_u
+from .spectral import _column_sums, _local_graph
 
 DEFAULT_BUDGET = 10**8
 LONGEST_PATH_CAP = 20
@@ -67,6 +67,8 @@ class _Budget:
     __slots__ = ("left",)
 
     def __init__(self, budget):
+        if budget < 1:
+            raise ParameterError(f"search budget must be >= 1, got {budget}")
         self.left = budget
 
     def spend(self):
@@ -85,9 +87,9 @@ def contains_tree(host, pattern, budget=DEFAULT_BUDGET):
     """
     pat = as_graph(pattern)
     order, parents, pat_deg = _pattern_order(pat)
+    left = _Budget(budget)
     if pat.n > host.n:
         return None
-    left = _Budget(budget)
     left.spend()
     emb = _certificate(host, pat)
     if emb is not None:
@@ -465,23 +467,20 @@ def proof_guided_spider_embed(g, spider, k, budget=DEFAULT_BUDGET):
     pat = build_family(spider)
     trace = SpiderTrace()
 
-    best = None
-    for v in range(g.n):
-        w = walk_sum_B_u(g, v, k)
-        if w.b_u >= 0 and (best is None or w.b_u > best.b_u):
-            best = w
-    if best is None:
+    # the walk sums B_u; the pivot is the first vertex of largest B_u
+    sums = _column_sums(g, k - 1, k * (g.n - k))
+    u = max(range(g.n), key=sums.__getitem__, default=None)
+    if u is None or sums[u] < 0:
         trace.notes.append("no vertex with nonnegative walk sum; falling back")
         return _finish_fallback(g, pat, trace, budget)
-    u = best.u
     trace.u = u
-    trace.b_u = best.b_u
-    du = g.degree(u)
+    trace.b_u = sums[u]
+    n1, n2, *_ = g.bfs_shells(u) + [0, 0]
 
-    if du <= math.log2(max(g.n, 2)):
-        emb = _case_low_degree(g, u, k, pat, trace)
+    if g.degree(u) <= math.log2(max(g.n, 2)):
+        emb = _case_low_degree(g, k, pat, n1, n2, trace)
     else:
-        emb = _case_high_degree(g, u, k, spider, best, trace, budget)
+        emb = _case_high_degree(g, u, k, spider, n1, n2, trace, budget)
     if emb is not None and is_valid_embedding(g, pat, emb):
         return emb, trace
     if emb is not None:
@@ -500,13 +499,10 @@ def _finish_fallback(g, pat, trace, budget):
     return emb, trace
 
 
-def _case_low_degree(g, u, k, pat, trace):
-    """Complete-bipartite route: k common neighbors over a chunk of the
-    second neighborhood."""
+def _case_low_degree(g, k, pat, n1, n2, trace):
+    """Complete-bipartite route: k common neighbors of u, from the mask n1
+    = N1(u), over a chunk of the second neighborhood n2 = N2(u)."""
     trace.branch = "case1_bipartite"
-    shells = g.bfs_shells(u)
-    n1 = bits(shells[0]) if shells else []
-    n2m = shells[1] if len(shells) > 1 else 0
     # the spider's 2-colouring: vertex 0 and its even BFS shells, the odd shells
     pat_shells = pat.bfs_shells(0)
     sides = bits(1 | sum(pat_shells[1::2])), bits(sum(pat_shells[::2]))
@@ -514,8 +510,8 @@ def _case_low_degree(g, u, k, pat, trace):
     if len(side_small) > k:
         trace.notes.append("spider cover side exceeds k")
         return None
-    for xs in combinations(n1, k):
-        common = n2m
+    for xs in combinations(bits(n1), k):
+        common = n2
         for x in xs:
             common &= g.rows[x]
         ys = bits(common)
@@ -531,28 +527,26 @@ def _case_low_degree(g, u, k, pat, trace):
     return None
 
 
-def _case_high_degree(g, u, k, spider, wsum, trace, budget):
-    """Linear-forest route inside L_u or inside G[N1(u)].
+def _case_high_degree(g, u, k, spider, n1, n2, trace, budget):
+    """Linear-forest route inside L_u or inside G[N1(u)], for the masks
+    n1 = N1(u) and n2 = N2(u).
 
     The legs, unit legs included, are one linear forest whose paths start
     in N1(u), so each path hangs off u as a leg of the spider centred there.
     """
-    shells = g.bfs_shells(u)
-    n1m = shells[0] if shells else 0
-    n2m = shells[1] if len(shells) > 1 else 0
-    e_cross = sum((g.rows[v] & n2m).bit_count() for v in bits(n1m))
+    e_cross = sum((g.rows[v] & n2).bit_count() for v in bits(n1))
     threshold = (
-        k * g.degree(u) + (2 * k - 2) * n2m.bit_count() - k * (g.n - k)
+        k * g.degree(u) + (2 * k - 2) * n2.bit_count() - k * (g.n - k)
     )
     if e_cross > threshold:
         trace.branch = "case2_subcase1_Lu"
         where = "L_u"
-        local, verts = wsum.l_graph, wsum.l_vertices
-        anchor = [i for i, v in enumerate(verts) if n1m >> v & 1]
+        local, verts = _local_graph(g, n1, n2)
+        anchor = [i for i, v in enumerate(verts) if n1 >> v & 1]
     else:
         trace.branch = "case2_subcase2_N1"
         where = "G[N1(u)]"
-        local, verts = g.subgraph(bits(n1m))
+        local, verts = g.subgraph(bits(n1))
         anchor = None
     try:
         forest = find_linear_forest(local, spider.legs, anchor, budget=budget)

@@ -361,7 +361,7 @@ def m_copies(g, m):
 
 
 def neighborhood_shells(g, u):
-    """Vertex sets N^1(u), N^2(u), ... as sorted lists."""
+    """Vertex sets N^1(u), N^2(u), ... as a list of sets."""
     return [set(bits(m)) for m in g.bfs_shells(u)]
 
 
@@ -515,12 +515,12 @@ def _bit_rows(values, n):
     return np.unpackbits(raw, axis=1, count=n, bitorder="little")
 
 
-def _adjacency_stack(graphs, dtype=float):
-    """The (m, n, n) stack of the graphs' adjacency matrices, unpacked
-    from the bitset rows."""
+def _adjacency_stack(graphs):
+    """The (m, n, n) float stack of the graphs' adjacency matrices,
+    unpacked from the bitset rows."""
     n = graphs[0].n
     rows = _bit_rows((r for g in graphs for r in g.rows), n)
-    return rows.reshape(len(graphs), n, n).astype(dtype)
+    return rows.reshape(len(graphs), n, n).astype(float)
 
 
 def _slice_size(n):

@@ -82,7 +82,7 @@ class CampaignSpec:
     n_min: int
     n_max: int
     source: Source = Source("exhaustive")
-    budget: int = 10**8
+    budget: int = DEFAULT_BUDGET
 
     def validate(self):
         if self.campaign not in CAMPAIGNS:
@@ -91,6 +91,8 @@ class CampaignSpec:
             raise ParameterError(f"k must be >= 2, got {self.k}")
         if self.n_min > self.n_max or self.n_min < 1:
             raise ParameterError(f"bad n range [{self.n_min}, {self.n_max}]")
+        if self.budget < 1:
+            raise ParameterError(f"search budget must be >= 1, got {self.budget}")
         if self.campaign not in ("lemma_suite", "broom_turan"):
             family = "S+_{n,k}" if self.campaign == "conjecture_b" else "S_{n,k}"
             smallest = self.k + 1 + (self.campaign == "conjecture_b")
@@ -349,7 +351,7 @@ def _facts(spec):
     containment campaigns; for lemma_suite the exact longest-path sum and
     the missing three-leg spiders for t = 4 and 5."""
     if spec.campaign == "lemma_suite":
-        rules = {t: partial(_absent, spider_graphs(t), DEFAULT_BUDGET) for t in (4, 5)}
+        rules = {t: partial(_absent, spider_graphs(t), spec.budget) for t in (4, 5)}
         rules["p_sum"] = _path_sum
     else:
         rules = {"missing": partial(_absent, _patterns(spec), spec.budget)}

@@ -37,8 +37,8 @@ class SpectralResult:
     residual: float
 
 
-def adjacency_matrix(g, dtype=float):
-    return _adjacency_stack([g], dtype)[0]
+def adjacency_matrix(g):
+    return _adjacency_stack([g])[0]
 
 
 def spectral_radii(graphs, tol=DEFAULT_TOL):
@@ -317,6 +317,13 @@ class QuotientCertificate:
     verdict: str  # proves_upper_bound | proves_equality | inconclusive
 
 
+def _column_sums(g, a, b):
+    """Column sums of A^2 - aA - bI as exact ints: column u sums to
+    sum of d(v) over the neighbours v of u, minus a d(u) + b."""
+    d = g.degrees()
+    return [sum(d[v] for v in bits(row)) - a * d[u] - b for u, row in enumerate(g.rows)]
+
+
 def lemma1_certificate(g, a, b):
     """Exact-integer column sums of A^2 - aA - bI and the resulting verdict.
 
@@ -328,10 +335,7 @@ def lemma1_certificate(g, a, b):
         raise ParameterError(f"require a >= 0 and b >= 1, got a={a}, b={b}")
     if not g.is_connected():
         raise HypothesisViolationError("certificate requires a connected graph")
-    n = g.n
-    adj = adjacency_matrix(g, dtype=np.int64)
-    bmat = adj @ adj - a * adj - b * np.eye(n, dtype=np.int64)
-    sums = tuple(int(x) for x in bmat.sum(axis=0))
+    sums = tuple(_column_sums(g, a, b))
     mu_prime = a / 2 + math.sqrt(a * a / 4 + b)
     if all(s == 0 for s in sums):
         verdict = "proves_equality"
@@ -355,32 +359,34 @@ class WalkSumDecomposition:
     b_u: int
 
 
+def _local_graph(g, n1, n2):
+    """L_u for the masks n1 = N1(u) and n2 = N2(u): G[N1 + N2] without its
+    N2-N2 edges, relabeled in vertex order, and its vertex list."""
+    sub, verts = g.subgraph(bits(n1 | n2))
+    keep = sum(1 << i for i, v in enumerate(verts) if n1 >> v & 1)
+    rows = tuple(r if keep >> i & 1 else r & keep for i, r in enumerate(sub.rows))
+    return Graph(sub.n, rows, sum(r.bit_count() for r in rows) // 2), tuple(verts)
+
+
 def walk_sum_B_u(g, u, k):
     """Exact walk-sum quantity at u for the threshold parameter k.
 
     B_u = sum of L_u-degrees over N1(u) - (k-2) d(u) - k(n-k), where L_u is
     the graph on N1(u) union N2(u) keeping only the edges inside N1(u) and
-    between N1(u) and N2(u).
+    between N1(u) and N2(u).  Every neighbour v of u has all its other
+    neighbours in N1(u) + N2(u), so its L_u-degree is d(v) - 1 and B_u is
+    column u of A^2 - (k-1)A - k(n-k)I.
     """
     if not 0 <= u < g.n:
         raise ParameterError(f"vertex {u} out of range for n={g.n}")
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
-    shells = g.bfs_shells(u)
-    n1 = shells[0] if shells else 0
-    n2 = shells[1] if len(shells) > 1 else 0
-    verts = sorted(bits(n1 | n2))
-    index = {v: i for i, v in enumerate(verts)}
-    edges = set()
-    for v in bits(n1):
-        for w in bits(g.rows[v] & (n1 | n2)):
-            i, j = index[v], index[w]
-            edges.add((min(i, j), max(i, j)))
-    l_graph = Graph.from_edges(len(verts), sorted(edges))
+    n1, n2, *_ = g.bfs_shells(u) + [0, 0]
+    l_graph, verts = _local_graph(g, n1, n2)
     n1_list = tuple(bits(n1))
-    degs = tuple(l_graph.degree(index[v]) for v in n1_list)
-    b_u = sum(degs) - (k - 2) * g.degree(u) - k * (g.n - k)
-    return WalkSumDecomposition(u, l_graph, tuple(verts), n1_list, degs, b_u)
+    degs = tuple(g.degree(v) - 1 for v in n1_list)
+    b_u = _column_sums(g, k - 1, k * (g.n - k))[u]
+    return WalkSumDecomposition(u, l_graph, verts, n1_list, degs, b_u)
 
 
 # -- dense-core witness search --------------------------------------------

@@ -57,8 +57,15 @@ class TestExitCodes:
         assert main(["enumerate", "graphs", "--n", "9"]) == 3
 
     def test_budget_error(self, capsys):
-        g6 = encode_graph6(build_family(CompleteSplit(12, 2)))
-        assert main(["contains", g6, "path:5", "--budget", "0"]) == 3
+        # a path host has no split certificate, so the search needs a
+        # second budget unit
+        g6 = encode_graph6(build_family(Path(8)))
+        assert main(["contains", g6, "path:5", "--budget", "1"]) == 3
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_usage_error_budget_below_one(self, capsys, budget):
+        assert main(["contains", "E?~o", "path:3", "--budget", budget]) == 2
+        assert "budget must be >= 1" in capsys.readouterr().err
 
     def test_verify_range_below_threshold_family(self, capsys, tmp_path):
         # mu(S_{1,2}) does not exist: rejected before any graph is scanned
@@ -170,6 +177,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and token in err
 
+    @pytest.mark.parametrize(
+        "argv, offset",
+        # neither graph6 nor a family name: the reader's error is shown
+        [
+            (["contains", "A`", "path:3"], 1),
+            (["certify", "D?}", "--k", "2"], 2),
+        ],
+    )
+    def test_usage_error_bad_graph6_host(self, capsys, argv, offset):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-zero padding bits")
+        assert f"offset {offset}" in err
+
     def test_usage_error_bad_graph6_on_stdin(self, capsys, monkeypatch):
         # "-" is read as graph6 only, so the reader's error is the one shown
         monkeypatch.setattr("sys.stdin", io.StringIO("D?\n"))
@@ -185,6 +206,7 @@ class TestExitCodes:
             (["--source", "random", "--count", "-3"], "count"),
             (["--source", "perturbation", "--count", "0"], "count"),
             (["--source", "perturbation", "--radius", "-1"], "radius"),
+            (["--budget", "0"], "budget"),
         ],
     )
     def test_usage_error_bad_verify_option(self, capsys, tmp_path, extra, named):

@@ -28,7 +28,7 @@ from spectree.graphs import (
     encode_graph6,
 )
 from spectree import embed, harness
-from spectree.enumeration import all_graphs, perturb_extremal
+from spectree.enumeration import all_graphs, graph_order, perturb_extremal
 from spectree.harness import CampaignSpec, Source, run_campaign
 from spectree.embed import (
     _certificate,
@@ -77,8 +77,17 @@ class TestContainsTree:
             contains_tree(build_family(Complete(4)), build_family(Complete(3)))
 
     def test_budget_zero_raises(self):
+        # a budget below one unit is a usage error, even when the pattern
+        # cannot fit the host
+        for host in (build_family(Complete(5)), build_family(Path(3))):
+            for budget in (0, -1):
+                with pytest.raises(ParameterError):
+                    contains_tree(host, Path(4), budget=budget)
+
+    def test_budget_exhausted_raises(self):
+        # the certificate takes the one unit and the search needs another
         with pytest.raises(BudgetExceededError):
-            contains_tree(build_family(Complete(5)), Path(4), budget=0)
+            contains_tree(build_family(Path(8)), Path(5), budget=1)
 
     def test_graph_pattern_accepted(self):
         host = build_family(Complete(4))
@@ -577,6 +586,43 @@ class TestProofGuidedSpider:
             "exact fallback search",
         ]
         assert is_valid_embedding(g, build_family(spider), emb)
+
+    # sha256 of the replay's outcomes over the n = 7 qualifying hosts of
+    # theorem_spider k = 2 against its three spiders, as computed before
+    # the walk sums were read off the degrees
+    REPLAY_N7 = "fe52658d3d37c6f0988cffefabcf7ca0756267995745b081c09a4a2f9b340212"
+
+    def test_pinned_replay_n7(self):
+        report = run_campaign(CampaignSpec("theorem_spider", 2, 7, 7))
+        order = graph_order(7)
+        hosts = [
+            order.graphs[v["index"]]
+            for v in report.verdicts
+            if v["classification"] == "qualifying"
+        ]
+        spiders = [Spider(3, 1, 1, 1), Spider(2, 1, 1, 1, 1), Spider(1, 1, 1, 1, 1, 1)]
+        h = hashlib.sha256()
+        branches = []
+        for g in hosts:
+            for spider in spiders:
+                out = proof_guided_spider_embed(g, spider, 2)
+                if out is None:
+                    h.update(b"None;")
+                    branches.append("not contained")
+                    continue
+                emb, trace = out
+                row = (emb.assignment, trace.u, trace.b_u, trace.branch, trace.notes)
+                h.update(repr(row).encode() + b";")
+                branches.append(trace.branch)
+        assert len(hosts) == 325
+        counts = {b: branches.count(b) for b in set(branches)}
+        assert counts == {
+            "case2_subcase1_Lu": 106,
+            "case2_subcase2_N1": 234,
+            "fallback": 372,
+            "not contained": 263,
+        }
+        assert h.hexdigest() == self.REPLAY_N7
 
     def test_agrees_with_exact_search(self):
         rng = random.Random(31)

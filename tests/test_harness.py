@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from spectree.errors import ParameterError
+from spectree.errors import BudgetExceededError, ParameterError
 from spectree.graphs import (
     Complete,
     CompleteSplit,
@@ -73,6 +73,13 @@ class TestSpecValidation:
     def test_bad_range(self):
         with pytest.raises(ParameterError):
             small_spec(n_min=8, n_max=6).validate()
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one(self, budget, monkeypatch):
+        # rejected before any graph is scanned
+        monkeypatch.setattr(harness, "_source", None)
+        with pytest.raises(ParameterError, match="budget"):
+            run_campaign(small_spec(budget=budget))
 
     @pytest.mark.parametrize(
         "source",
@@ -526,6 +533,12 @@ class TestOtherCampaigns:
         report = run_campaign(small_spec(campaign="lemma_suite", n_min=5, n_max=5))
         assert report.totals["graphs_scanned"] == 34
         assert report.totals["violations"] == 0
+
+    def test_lemma_suite_spends_the_spec_budget(self):
+        # one unit pays only for the split certificate, so the first spider
+        # that needs a search exhausts it
+        with pytest.raises(BudgetExceededError):
+            run_campaign(CampaignSpec("lemma_suite", 2, 1, 7, budget=1))
 
     def test_broom_turan_small(self):
         report = run_campaign(small_spec(campaign="broom_turan", n_min=7, n_max=7))

@@ -278,8 +278,7 @@ class TestAdjacencyMatrix:
     @pytest.mark.parametrize("dtype", [float, np.int64])
     def test_against_edge_list_oracle(self, n, dtype):
         for g in all_graphs(n):
-            a = adjacency_matrix(g, dtype=dtype)
-            assert a.dtype == dtype
+            a = adjacency_matrix(g).astype(dtype)
             assert np.array_equal(a, edge_list_adjacency(g, dtype=dtype))
 
     def test_certificates_from_the_edge_list_matrix(self):
@@ -327,7 +326,7 @@ class TestExactThreshold:
         for seed in range(40):
             g = random_graph(2 + seed % 11, p=0.4, seed=seed)
             expect = np.poly(np.linalg.eigvalsh(adjacency_matrix(g)))
-            assert np.allclose(charpoly(adjacency_matrix(g, dtype=int)), expect, atol=1e-6)
+            assert np.allclose(charpoly(edge_list_adjacency(g, dtype=int)), expect, atol=1e-6)
 
     def test_charpoly_of_quotients(self):
         for n, k in SMALL_GRID:
@@ -481,6 +480,13 @@ class TestQuotientCertificate:
         with pytest.raises(HypothesisViolationError):
             lemma1_certificate(g, 1, 2)
 
+    def test_equality_at_max_vertices(self):
+        # S_{5000,2}: an n x n integer matrix would take 200 MB here
+        g = build_family(CompleteSplit(5000, 2))
+        cert = lemma1_certificate(g, 1, 2 * 4998)
+        assert cert.column_sums == (0,) * 5000
+        assert cert.verdict == "proves_equality"
+
 
 class TestWalkSum:
     def test_zero_on_extremal(self):
@@ -489,17 +495,38 @@ class TestWalkSum:
         assert walk_sum_B_u(g, 4, 2).b_u == 0  # independent-set vertex
 
     def test_matches_matrix_column_sum(self):
-        # B_u equals the u-column sum of A^2 - (k-1)A - k(n-k)I restricted as
-        # the local double-counting identity; verify against the direct
-        # matrix on the extremal family where the identity is global
-        import numpy as np
+        # B_u is the u-column sum of A^2 - (k-1)A - k(n-k)I, here on the
+        # oracle's matrix
+        for g in [build_family(CompleteSplit(n, k)) for n, k in [(6, 2), (9, 3), (12, 2)]] + [
+            random_graph(n, p=0.4, seed=n) for n in range(2, 12)
+        ]:
+            n = g.n
+            adj = edge_list_adjacency(g, dtype=np.int64)
+            for k in (2, 3):
+                bmat = adj @ adj - (k - 1) * adj - k * (n - k) * np.eye(n, dtype=np.int64)
+                for u in range(n):
+                    assert walk_sum_B_u(g, u, k).b_u == int(bmat[:, u].sum())
 
-        for n, k in [(6, 2), (9, 3), (12, 2)]:
-            g = build_family(CompleteSplit(n, k))
-            adj = adjacency_matrix(g, dtype=np.int64)
-            bmat = adj @ adj - (k - 1) * adj - k * (n - k) * np.eye(n, dtype=np.int64)
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_against_the_edge_list(self, n):
+        # L_u, its N1 degrees and B_u, rebuilt from g.edges() alone
+        for g in all_graphs(n):
+            edges = g.edges()
             for u in range(n):
-                assert walk_sum_B_u(g, u, k).b_u == int(bmat[:, u].sum())
+                n1 = {w for v, w in edges if v == u} | {v for v, w in edges if w == u}
+                n2 = {x for e in edges if set(e) & n1 for x in e} - n1 - {u}
+                l_edges = {e for e in edges if set(e) & n1 and set(e) <= n1 | n2}
+                for k in (2, 3):
+                    w = walk_sum_B_u(g, u, k)
+                    assert w.n1 == tuple(sorted(n1))
+                    assert w.l_vertices == tuple(sorted(n1 | n2))
+                    l_deg = {v: sum(v in e for e in l_edges) for v in n1}
+                    assert w.degree_in_l == tuple(l_deg[v] for v in w.n1)
+                    assert w.b_u == sum(w.degree_in_l) - (k - 2) * len(n1) - k * (n - k)
+                    got = {tuple(sorted((w.l_vertices[i], w.l_vertices[j])))
+                           for i, j in w.l_graph.edges()}
+                    assert got == l_edges
+                    assert w.l_graph.e == len(l_edges)
 
     def test_l_graph_structure(self):
         g = build_family(Path(4))
