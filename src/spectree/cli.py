@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 completed with no violations, 1 completed with violations,
-2 usage error, 3 budget/cap error.
+2 usage error or an output that cannot be written, 3 budget/cap error.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .graphs import (
     write_edge_list,
 )
 from .spectral import lemma1_certificate, spectral_radius
-from .embed import all_trees_of_order, contains_tree
+from .embed import DEFAULT_BUDGET, all_trees_of_order, contains_tree
 from .enumeration import all_graphs
 from .harness import (
     CampaignSpec,
@@ -120,7 +120,7 @@ def build_parser():
     c.add_argument("tree", help="family token for the tree pattern")
     c.add_argument("--n", type=int)
     c.add_argument("--k", type=int)
-    c.add_argument("--budget", type=int, default=10**8)
+    c.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     q = sub.add_parser("certify", help="quotient certificate (integer column sums)")
     q.add_argument("graph", help="graph6 string, family token, or - for stdin")
@@ -145,7 +145,7 @@ def build_parser():
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--count", type=int, default=20)
     v.add_argument("--radius", type=int, default=1)
-    v.add_argument("--budget", type=int, default=10**8)
+    v.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     v.add_argument("--format", choices=("json", "csv"), default="json")
     v.add_argument("--out")
 
@@ -170,8 +170,11 @@ def _check_out(path):
 
 def _emit(text, out):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParameterError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -266,7 +269,7 @@ def _dispatch(args):
         except (OSError, ValueError) as exc:
             raise ParameterError(f"cannot read report {args.path}: {exc}") from exc
         version = data.get("schema_version") if isinstance(data, dict) else None
-        if version != SCHEMA_VERSION:
+        if type(version) is not int or version != SCHEMA_VERSION:
             raise ParameterError(
                 f"{args.path}: schema_version {version!r} is not {SCHEMA_VERSION}"
             )
@@ -326,33 +329,26 @@ def _read_config(path):
 
 
 def _campaign_spec_from_args(args):
-    cfg = _read_config(args.config) if args.config else {}
-    campaign = cfg.get("campaign", args.campaign)
-    if not campaign:
+    # the config keys are the argument names, and the config's values win
+    if args.config:
+        vars(args).update(_read_config(args.config))
+    if not args.campaign:
         raise ParameterError("campaign id required (positional or config)")
-    k = cfg.get("k", args.k)
-    n_min = cfg.get("n", args.n)
-    n_max = cfg.get("n_max", args.n_max if args.n_max is not None else n_min)
-    kind = cfg.get("source", args.source)
-    seed = cfg.get("seed", args.seed)
-    count = cfg.get("count", args.count)
-    radius = cfg.get("radius", args.radius)
+    kind = args.source
     if kind == "exhaustive":
         source = Source("exhaustive")
     elif kind == "random":
-        source = Source("random", count=count, seed=seed)
+        source = Source("random", count=args.count, seed=args.seed)
     elif kind in ("perturbation", "perturbation-plus"):
-        base = CompleteSplit(n_min, k) if kind == "perturbation" else CompleteSplitPlus(n_min, k)
-        source = Source("perturbation", count=count, seed=seed, base=base, radius=radius)
+        base = (CompleteSplit if kind == "perturbation" else CompleteSplitPlus)(args.n, args.k)
+        source = Source(
+            "perturbation", count=args.count, seed=args.seed, base=base, radius=args.radius
+        )
     else:
         raise ParameterError(f"unknown source {kind!r}")
+    n_max = args.n if args.n_max is None else args.n_max
     return CampaignSpec(
-        campaign=campaign,
-        k=k,
-        n_min=n_min,
-        n_max=n_max,
-        source=source,
-        budget=cfg.get("budget", args.budget),
+        args.campaign, args.k, n_min=args.n, n_max=n_max, source=source, budget=args.budget
     )
 
 

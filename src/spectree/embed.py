@@ -282,6 +282,7 @@ def find_linear_forest(host, lengths, anchor_set=None, budget=DEFAULT_BUDGET):
     joined to the anchor set (to every vertex when there is none) is the
     centre and the paths are its legs, laid out longest first.
     """
+    left = _Budget(budget)
     if not lengths or any(t < 1 for t in lengths):
         raise ParameterError(f"path orders must be >= 1, got {lengths}")
     if anchor_set is not None:
@@ -305,7 +306,7 @@ def find_linear_forest(host, lengths, anchor_set=None, budget=DEFAULT_BUDGET):
         first = len(parents)
         parents += [0, *range(first, first + lengths[i] - 1)]
         pat_deg += [2] * (lengths[i] - 1) + [1]
-    image = _embed_tree(augmented, parents, pat_deg, _Budget(budget), roots=[apex])
+    image = _embed_tree(augmented, parents, pat_deg, left, roots=[apex])
     if image is None:
         return None
     paths = [None] * len(lengths)
@@ -451,6 +452,7 @@ def proof_guided_spider_embed(g, spider, k, budget=DEFAULT_BUDGET):
     generic exact search when the constructive route fails at desk scale;
     any returned embedding is validated.
     """
+    _Budget(budget)  # a budget below 1 fails here, before any route
     if not isinstance(spider, Spider):
         raise ParameterError("pattern must be a Spider spec")
     spider.validate()

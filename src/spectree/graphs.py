@@ -852,39 +852,20 @@ def _min_over_orderings(n, composition, indices, codes, size):
 
 
 def is_complete_split(g, k):
-    """Exact test for g == S_{n,k} up to isomorphism, any n."""
+    """Exact test for g == S_{n,k} up to isomorphism: its degree sequence
+    is k times n-1 and n-k times k.  When k < n-1 exactly k vertices are
+    adjacent to all others; each other vertex is adjacent to them and, of
+    degree k, to nothing else.  When k = n-1, g is K_n."""
     n = g.n
-    if not 1 <= k <= n - 1:
-        return False
-    if g.e != k * n - k * (k + 1) // 2:
-        return False
-    hub_mask = 0
-    hub_count = 0
-    for v in range(n):
-        if g.degree(v) == n - 1:
-            hub_mask |= 1 << v
-            hub_count += 1
-    if hub_count < k:
-        return False
-    # remaining vertices must be independent with exactly the hubs as nbrs
-    for v in range(n):
-        if not hub_mask >> v & 1:
-            if g.rows[v] != hub_mask:
-                return False
-    return True
+    return 1 <= k <= n - 1 and sorted(g.degrees()) == [k] * (n - k) + [n - 1] * k
 
 
 def is_complete_split_plus(g, k):
-    """Exact test for g == S+_{n,k} up to isomorphism, any n: removing some
-    edge between two vertices of degree k+1 leaves S_{n,k}.  When k = n-2
-    the hubs have degree k+1 too, and S+_{n,n-2} is K_n."""
+    """Exact test for g == S+_{n,k} up to isomorphism: its degree sequence
+    is k times n-1, twice k+1 and n-k-2 times k.  When k < n-2 exactly k
+    vertices are adjacent to all others and each other vertex is adjacent
+    to them; the two of degree k+1 each have one more neighbour, which can
+    only be the other.  When k = n-2, g is K_n."""
     n = g.n
-    if not 1 <= k <= n - 2 or g.e != k * n - k * (k + 1) // 2 + 1:
-        return False
-    ends = [v for v in range(n) if g.degree(v) == k + 1]
-    return any(
-        is_complete_split(g.without_edge(u, v), k)
-        for i, u in enumerate(ends)
-        for v in ends[i + 1 :]
-        if g.has_edge(u, v)
-    )
+    degrees = sorted(g.degrees())
+    return 1 <= k <= n - 2 and degrees == [k] * (n - k - 2) + [k + 1] * 2 + [n - 1] * k

@@ -283,19 +283,21 @@ class _Inherited:
     (parent None) has nothing to inherit and keeps nothing."""
 
     def __init__(self, spec, rules):
+        self.spec = spec
         self.rules = rules
         self.keep_below = spec.n_max if spec.source.kind == "exhaustive" else 0
         self.memo = {}
 
     def of(self, name, n, index):
-        """Fact `name` of class `index` of graph_order(n); None for index None."""
+        """Fact `name` of the index-th graph of order n, read through
+        `_source`; None for index None."""
         if index is None:
             return None
         found = self.memo.get((n, index, name))
         if found is None:
-            order = graph_order(n)
-            up = partial(self.of, name, n - 1, order.parents[index])
-            found = self.memo[n, index, name] = self.rules[name](order.graphs[index], up, False)
+            _, graphs, parents = _source(self.spec, n)
+            up = partial(self.of, name, n - 1, parents[index])
+            found = self.memo[n, index, name] = self.rules[name](graphs[index], up, False)
         return found
 
     def scanned(self, name, n, index, g, parent):

@@ -373,3 +373,43 @@ def eigh_mu(g):
     """Largest adjacency eigenvalue of g by one np.linalg.eigh on the
     edge-list matrix, graph by graph."""
     return float(np.linalg.eigh(edge_list_adjacency(g))[0][-1])
+
+
+def frozen_is_complete_split(g, k):
+    """The S_{n,k} recogniser as it stood before the degree-sequence test,
+    kept frozen as an oracle: k hubs of degree n-1, and every other vertex
+    adjacent to exactly the hubs."""
+    n = g.n
+    if not 1 <= k <= n - 1:
+        return False
+    if g.e != k * n - k * (k + 1) // 2:
+        return False
+    hub_mask = 0
+    hub_count = 0
+    for v in range(n):
+        if g.degree(v) == n - 1:
+            hub_mask |= 1 << v
+            hub_count += 1
+    if hub_count < k:
+        return False
+    for v in range(n):
+        if not hub_mask >> v & 1:
+            if g.rows[v] != hub_mask:
+                return False
+    return True
+
+
+def frozen_is_complete_split_plus(g, k):
+    """The S+_{n,k} recogniser as it stood before the degree-sequence test,
+    kept frozen as an oracle: removing some edge between two vertices of
+    degree k+1 leaves S_{n,k}."""
+    n = g.n
+    if not 1 <= k <= n - 2 or g.e != k * n - k * (k + 1) // 2 + 1:
+        return False
+    ends = [v for v in range(n) if g.degree(v) == k + 1]
+    return any(
+        frozen_is_complete_split(g.without_edge(u, v), k)
+        for i, u in enumerate(ends)
+        for v in ends[i + 1 :]
+        if g.has_edge(u, v)
+    )

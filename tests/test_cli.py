@@ -1,5 +1,6 @@
 import io
 import json
+import os
 
 import pytest
 
@@ -16,6 +17,7 @@ from spectree.graphs import (
     decode_graph6,
     encode_graph6,
 )
+from spectree.harness import Source
 
 
 class TestParseFamily:
@@ -226,6 +228,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(out) in err
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "lemma_suite", "--k", "2", "--n", "4"],
+            ["family", "S", "--n", "8", "--k", "2"],
+        ],
+    )
+    def test_usage_error_failed_write(self, capsys, argv):
+        # the work completes, then the write fails: exit 2, one error line
+        assert main(argv + ["--out", "/dev/full"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write /dev/full") and err.count("\n") == 1
+
     def test_verify_one_on_violations(self, capsys, tmp_path):
         # order 2k+2 = n: spanning-tree targets fail for dense disconnected
         # graphs, so the exhaustive n=6 scan reports violations
@@ -313,3 +329,30 @@ class TestSubcommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "schema_version 99" in captured.err
+
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_report_rejects_schema_version_equal_to_one(self, capsys, tmp_path, version):
+        # true and 1.0 compare equal to 1 but are not the integer 1
+        out = tmp_path / "r.json"
+        main(["verify", "lemma_suite", "--k", "2", "--n", "4", "--out", str(out)])
+        data = json.loads(out.read_text())
+        data["schema_version"] = version
+        before = json.dumps(data)
+        out.write_text(before)
+        capsys.readouterr()
+        assert main(["report", str(out), "--format", "json", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"schema_version {version!r}" in captured.err
+        assert out.read_text() == before
+
+    def test_config_values_override_flags(self, tmp_path):
+        # the config's k and source win over the flags; n_max falls back to
+        # the config's n when neither gives it
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("campaign = lemma_suite\nk = 3\nn = 5\nsource = random\nseed = 4\n")
+        argv = ["verify", "conjecture_a", "--config", str(cfg), "--k", "2", "--n", "7"]
+        spec = cli._campaign_spec_from_args(cli.build_parser().parse_args(argv + ["--count", "9"]))
+        assert (spec.campaign, spec.k, spec.n_min, spec.n_max) == ("lemma_suite", 3, 5, 5)
+        assert spec.source == Source("random", count=9, seed=4)
+        spec = cli._campaign_spec_from_args(cli.build_parser().parse_args(argv + ["--n-max", "6"]))
+        assert (spec.n_min, spec.n_max) == (5, 6)

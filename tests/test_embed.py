@@ -268,6 +268,12 @@ class TestLinearForest:
     def test_impossible(self):
         assert find_linear_forest(build_family(Star(5)), [3, 3]) is None
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_raises(self, budget):
+        # rejected on entry, also where the paths cannot fit the host
+        with pytest.raises(ParameterError, match="search budget must be >= 1"):
+            find_linear_forest(build_family(Path(3)), [2, 2], budget=budget)
+
     def test_anchoring(self):
         # P_6: both 3-paths exist, but only one can end at vertex 0
         host = build_family(Path(6))
@@ -513,6 +519,13 @@ class TestTreeGeneration:
 
 
 class TestProofGuidedSpider:
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_raises(self, budget):
+        # rejected on entry, also where the low-degree route needs no search
+        g = decode_graph6("I????B~~w")
+        with pytest.raises(ParameterError, match="search budget must be >= 1"):
+            proof_guided_spider_embed(g, Spider(1, 1, 1, 3), 2, budget=budget)
+
     def test_requires_spider_shape(self):
         g = build_family(CompleteSplitPlus(30, 3))
         with pytest.raises(HypothesisViolationError):

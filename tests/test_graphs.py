@@ -41,9 +41,16 @@ from spectree.graphs import (
     twin_classes,
     write_edge_list,
 )
-from spectree.enumeration import _children, all_graphs, graph_order, random_graph
+from spectree.enumeration import _children, all_graphs, graph_order, perturb_extremal, random_graph
 
-from oracles import dense_ranks, frozen_canonical_key, graph6_text, ranks_below
+from oracles import (
+    dense_ranks,
+    frozen_canonical_key,
+    frozen_is_complete_split,
+    frozen_is_complete_split_plus,
+    graph6_text,
+    ranks_below,
+)
 
 
 def random_graph_raw(n, p, rng):
@@ -637,3 +644,54 @@ class TestFamilyRecognizers:
         perm = list(range(12))
         rng.shuffle(perm)
         assert is_complete_split_plus(g.relabel(perm), 2)
+
+
+class TestDegreeSequenceRecognizers:
+    """The degree-sequence recognisers against the frozen ones."""
+
+    @staticmethod
+    def verdicts(g, k):
+        new = is_complete_split(g, k), is_complete_split_plus(g, k)
+        frozen = frozen_is_complete_split(g, k), frozen_is_complete_split_plus(g, k)
+        assert new == frozen, (encode_graph6(g), k)
+        return new
+
+    def test_every_class_up_to_n8(self):
+        found = Counter()
+        for n in range(1, 9):
+            for g in all_graphs(n):
+                for k in range(-1, n + 2):
+                    split, plus = self.verdicts(g, k)
+                    found["S"] += split
+                    found["S+"] += plus
+        # one S_{n,k} for each 1 <= k <= n-1, one S+_{n,k} for each 1 <= k <= n-2
+        assert found == {"S": 28, "S+": 21}
+
+    def test_families_and_perturbations_relabelled(self):
+        # every S_{n,k} and S+_{n,k} with 3 <= n <= 59 and, for k = 1, n/2
+        # and the largest k, their seeded perturbations (up to 2 edges added
+        # and up to 2 removed), each relabelled by one seeded permutation
+        rng = random.Random(23)
+        for n in range(3, 60):
+            for family, top in ((CompleteSplit, n - 1), (CompleteSplitPlus, n - 2)):
+                for k in range(1, top + 1):
+                    base = family(n, k)
+                    g = build_family(base)
+                    graphs = [g]
+                    if k in (1, n // 2, top):
+                        free = n * (n - 1) // 2 - g.e
+                        graphs += [
+                            perturb_extremal(base, add=a, remove=r, seed=seed)
+                            for a in range(3)
+                            for r in range(3)
+                            if 0 < a + r and a <= free + r
+                            for seed in range(3)
+                        ]
+                    for h in graphs:
+                        perm = list(range(n))
+                        rng.shuffle(perm)
+                        h = h.relabel(perm)
+                        for j in (k - 1, k, k + 1):
+                            self.verdicts(h, j)
+                    split, plus = self.verdicts(g, k)
+                    assert plus if family is CompleteSplitPlus else split

@@ -418,6 +418,22 @@ class TestInheritedMissing:
             if v["classification"] == "qualifying":
                 assert v["missing"] == plain_missing(decode_graph6(v["key"]), patterns)
 
+    def test_parents_are_read_through_source(self, monkeypatch, report_n8):
+        # the scan reads order 8 and the memo reads the parents of order 7
+        # and below through the same _source
+        source = harness._source
+        orders = []
+
+        def recording(spec, n):
+            orders.append(n)
+            return source(spec, n)
+
+        monkeypatch.setattr(harness, "_source", recording)
+        report = run_campaign(small_spec(n_min=8, n_max=8))
+        assert orders[0] == 8 and orders.count(8) == 1
+        assert max(orders[1:]) == 7
+        assert report.verdicts == report_n8.verdicts
+
     def test_no_state_between_calls(self, monkeypatch):
         calls = count_containment(monkeypatch)
         spec = small_spec(n_min=7, n_max=7)
