@@ -168,15 +168,27 @@ def _check_out(path):
         raise ParameterError(f"cannot write {path}")
 
 
-def _emit(text, out):
+def _emit(text, out=None):
+    """Write text to the file `out`, or to standard output.  A failed
+    write is an output that cannot be written: on standard output the
+    unwritten text is dropped, by pointing the descriptor at os.devnull
+    and flushing, so that the exit-time flush does not fail again."""
     if out:
         try:
             with open(out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
             raise ParameterError(f"cannot write {out}: {exc}") from exc
-    else:
+        return
+    try:
         sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        sys.stdout.flush()
+        raise ParameterError(f"cannot write standard output: {exc}") from exc
 
 
 def _graph_or_family(arg, n, k):
@@ -221,16 +233,16 @@ def _dispatch(args):
     if args.command == "mu":
         g = _read_graph(args.graph)
         res = spectral_radius(g)
-        print(f"mu {res.mu:.12f} residual {res.residual:.3e}")
+        _emit(f"mu {res.mu:.12f} residual {res.residual:.3e}\n")
         return 0
     if args.command == "contains":
         host = _graph_or_family(args.host, args.n, args.k)
         pattern = parse_family(args.tree, n=args.n, k=args.k)
         emb = contains_tree(host, pattern, budget=args.budget)
         if emb is None:
-            print("not-contained")
+            _emit("not-contained\n")
             return 0
-        print("contained " + " ".join(f"{p}->{h}" for p, h in emb.pairs()))
+        _emit("contained " + " ".join(f"{p}->{h}" for p, h in emb.pairs()) + "\n")
         return 0
     if args.command == "certify":
         g = _graph_or_family(args.graph, args.n, args.k)
@@ -239,9 +251,9 @@ def _dispatch(args):
         if a is None or b is None:
             raise ParameterError("give --a/--b or --k to derive them")
         cert = lemma1_certificate(g, a, b)
-        print(
+        _emit(
             f"verdict {cert.verdict} mu_prime {cert.mu_prime:.12f} "
-            f"column_sums {list(cert.column_sums)}"
+            f"column_sums {list(cert.column_sums)}\n"
         )
         return 0
     if args.command == "enumerate":

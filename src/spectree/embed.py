@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import (
@@ -101,6 +101,33 @@ def contains_tree(host, pattern, budget=DEFAULT_BUDGET):
     for v, h in zip(order, image):
         assignment[v] = h
     return Embedding(tuple(assignment))
+
+
+def tree_test(host, budget=DEFAULT_BUDGET):
+    """The containment test pattern -> bool of one host, for a caller that
+    asks about many trees and needs no embedding.
+
+    Each pattern gets the verdict, the budget and the errors of
+    `contains_tree(host, pattern, budget) is not None`: a fresh budget, one
+    unit for the split certificate and the rest for the search.  The
+    certificate compares counts only, against the host's split sequence,
+    whose entries are built on first use and shared by all patterns."""
+    _Budget(budget)  # a budget below 1 fails here, before any pattern
+    splits = _Splits(host)
+
+    def contains(pattern):
+        pat = as_graph(pattern)
+        profile = _split_profile(pat)  # raises ParameterError for a non-tree
+        if pat.n > host.n:
+            return False
+        if _fit(splits, profile) is not None:
+            return True
+        _, parents, pat_deg = _pattern_order(pat)
+        left = _Budget(budget)
+        left.spend()  # the certificate's unit
+        return _embed_tree(host, parents, pat_deg, left) is not None
+
+    return contains
 
 
 @lru_cache(maxsize=1024)
@@ -219,39 +246,69 @@ def _split_profile(pat):
     return tuple(front)
 
 
-@lru_cache(maxsize=16)
-def _host_split(host, c):
-    """(X, Y, |M|), or None unless X is a clique: X the c highest-degree
-    vertices (ties to the lower id), Y their common neighbourhood with the
-    pairs of a greedy matching M in G[Y] first."""
-    xs = tuple(sorted(range(host.n), key=host.degrees().__getitem__, reverse=True)[:c])
-    xmask = sum(1 << x for x in xs)
-    common = reduce(int.__and__, (host.rows[x] | 1 << x for x in xs), (1 << host.n) - 1)
-    if xmask & ~common:
-        return None
-    free, matched = common ^ xmask, []
-    for y in bits(free):
-        nb = host.rows[y] & free
-        if free >> y & 1 and nb:
-            z = (nb & -nb).bit_length() - 1
-            free ^= 1 << y | 1 << z
-            matched += (y, z)
-    return xs, tuple(matched + bits(free)), len(matched) // 2
+class _Splits:
+    """The split sequence of one host, extended on demand.  Entry c is
+    (X, Y, |M|): X the c highest-degree vertices (ties to the lower id),
+    Y their common neighbourhood with the pairs of a greedy matching M in
+    G[Y] first.  The sequence ends before the first c whose X is not a
+    clique, since no larger X is one either."""
+
+    __slots__ = ("rows", "top", "commons", "entries")
+
+    def __init__(self, host):
+        self.rows = host.rows
+        self.top = sorted(range(host.n), key=host.degrees().__getitem__, reverse=True)
+        self.commons = [(1 << host.n) - 1]  # commons[c]: X's common closed nbhd
+        self.entries = {}
+
+    def at(self, c):
+        """Entry c, or None when X is not a clique."""
+        entry = self.entries.get(c)
+        if entry is not None:
+            return entry
+        rows = self.rows
+        commons = self.commons
+        while len(commons) <= c:
+            x = self.top[len(commons) - 1]
+            if not commons[-1] >> x & 1:
+                return None  # x misses an earlier vertex of X
+            commons.append(commons[-1] & (rows[x] | 1 << x))
+        xs = tuple(self.top[:c])
+        free, matched = commons[c] & ~sum(1 << x for x in xs), []
+        for y in bits(free):
+            nb = rows[y] & free
+            if free >> y & 1 and nb:
+                z = (nb & -nb).bit_length() - 1
+                free ^= 1 << y | 1 << z
+                matched += (y, z)
+        entry = self.entries[c] = xs, tuple(matched + bits(free)), len(matched) // 2
+        return entry
 
 
-def _certificate(host, pat):
-    """Embedding of the tree pat (pat.n <= host.n) read off the split
-    structure, or None.  For a profile entry (c, m, C, rest) with |M| >= m
-    and |Y| >= |rest|, C goes into the clique X and rest into Y, its pairs
-    onto M; all of Y is adjacent to all of X, so no search is needed."""
-    for c, m, cover, rest in _split_profile(pat):
-        split = _host_split(host, c)
+def _fit(splits, profile):
+    """The first entry (c, m, C, rest) of the split profile of a tree with
+    at most host.n vertices whose host split has |M| >= m and
+    |Y| >= |rest|, as (C, rest, X, Y), or None: C goes into the clique X and
+    rest into Y, its pairs onto M, and all of Y is adjacent to all of X, so
+    no search is needed."""
+    for c, m, cover, rest in profile:
+        split = splits.at(c)
         if split is None:
             return None  # the top c + 1 vertices contain the top c
         xs, ys, size = split
         if size >= m and len(ys) >= len(rest):
-            return Embedding(tuple(h for _, h in sorted(zip(cover + rest, xs + ys))))
+            return cover, rest, xs, ys
     return None
+
+
+def _certificate(host, pat):
+    """Embedding of the tree pat (pat.n <= host.n) read off the split
+    structure, or None."""
+    fit = _fit(_Splits(host), _split_profile(pat))
+    if fit is None:
+        return None
+    cover, rest, xs, ys = fit
+    return Embedding(tuple(h for _, h in sorted(zip(cover + rest, xs + ys))))
 
 
 def min_vertex_cover_tree(g):

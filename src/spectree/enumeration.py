@@ -168,9 +168,29 @@ def random_graph(n, m=None, p=None, seed=0):
     return Graph.from_edges(n, edges)
 
 
+def _nth_pair(g, index, present):
+    """The index-th pair (i, j), i < j, in lexicographic order among the
+    edges of g (present=True) or among its non-edges."""
+    for i, row in enumerate(g.rows):
+        upper = row >> i + 1
+        if not present:
+            upper ^= (1 << g.n - i - 1) - 1
+        count = upper.bit_count()
+        if index < count:
+            for _ in range(index):
+                upper &= upper - 1
+            return i, i + (upper & -upper).bit_length()
+        index -= count
+
+
 def perturb_extremal(base, add=0, remove=0, seed=0):
     """Remove `remove` random edges from the extremal base graph, then add
-    `add` random non-edges.  Reproducible per seed."""
+    `add` random non-edges.  Reproducible per seed.
+
+    Each step draws indices into the lexicographic list of the edges, or of
+    the non-edges, of the graph as it was before the step, and maps only
+    the drawn indices to pairs; `random.sample` draws the same indices from
+    a range as from a list of that length."""
     if not isinstance(base, (CompleteSplit, CompleteSplitPlus)):
         raise ParameterError("base must be CompleteSplit or CompleteSplitPlus")
     if add < 0 or remove < 0:
@@ -179,12 +199,11 @@ def perturb_extremal(base, add=0, remove=0, seed=0):
     rng = random.Random(seed)
     if remove > g.e:
         raise ParameterError(f"cannot remove {remove} of {g.e} edges")
-    for u, v in rng.sample(g.edges(), remove):
+    for u, v in [_nth_pair(g, i, True) for i in rng.sample(range(g.e), remove)]:
         g = g.without_edge(u, v)
-    # (i, j) with i < j, in order, read off the rows
-    non_edges = [(i, j) for i, r in enumerate(g.rows) for j in range(i + 1, g.n) if not r >> j & 1]
-    if add > len(non_edges):
-        raise ParameterError(f"cannot add {add} edges, only {len(non_edges)} slots")
-    for u, v in rng.sample(non_edges, add):
+    slots = g.n * (g.n - 1) // 2 - g.e
+    if add > slots:
+        raise ParameterError(f"cannot add {add} edges, only {slots} slots")
+    for u, v in [_nth_pair(g, i, False) for i in rng.sample(range(slots), add)]:
         g = g.with_edge(u, v)
     return g

@@ -41,7 +41,7 @@ from .spectral import (
     spectral_radii,
     split_quotient,
 )
-from .embed import DEFAULT_BUDGET, all_trees_of_order, contains_tree
+from .embed import DEFAULT_BUDGET, all_trees_of_order, tree_test
 from .enumeration import graph_order, perturb_extremal, random_graph
 from .turan import check_lemma, edge_threshold_S_plus, partitions, spider_graphs
 
@@ -313,14 +313,19 @@ def _absent(patterns, budget, g, up, strict):
 
     g contains its enumeration parent, so it contains every tree the parent
     contains: only the pairs in the parent's set up() are tested, or all of
-    `patterns` when g has no parent."""
+    `patterns` when g has no parent.  One `tree_test` of g decides them,
+    built only when there is a pair to test."""
     inherited = up()
+    pairs = patterns if inherited is None else inherited
+    if not pairs:
+        return ()
+    contains = tree_test(g, budget)
     out = []
     # the sets share the pairs of `patterns`, so the memo holds no copies
-    for pair in patterns if inherited is None else inherited:
+    for pair in pairs:
         pat = pair[1]
         try:
-            if pat.n > g.n or contains_tree(g, pat, budget=budget) is None:
+            if pat.n > g.n or not contains(pat):
                 out.append(pair)
         except BudgetExceededError:
             # an ancestor's set may keep an undecided pattern: its

@@ -1,6 +1,7 @@
 """Independent test oracles: brute-force searches and exact rational
 linear algebra that share no code with the production paths."""
 
+import random
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, permutations
@@ -9,7 +10,7 @@ import numpy as np
 
 from spectree.embed import LONGEST_PATH_CAP, Embedding, PathStats, as_graph
 from spectree.errors import CapExceededError, ParameterError
-from spectree.graphs import Graph
+from spectree.graphs import CompleteSplit, CompleteSplitPlus, Graph, build_family
 
 
 def brute_force_contains(host, pattern):
@@ -413,3 +414,25 @@ def frozen_is_complete_split_plus(g, k):
         for v in ends[i + 1 :]
         if g.has_edge(u, v)
     )
+
+
+def frozen_perturb_extremal(base, add=0, remove=0, seed=0):
+    """The perturbation sampler as it stood before it drew pair indices,
+    kept frozen as an oracle: it samples from the full edge list, then from
+    the full non-edge list, each listed in (i, j) order."""
+    if not isinstance(base, (CompleteSplit, CompleteSplitPlus)):
+        raise ParameterError("base must be CompleteSplit or CompleteSplitPlus")
+    if add < 0 or remove < 0:
+        raise ParameterError("add and remove must be nonnegative")
+    g = build_family(base)
+    rng = random.Random(seed)
+    if remove > g.e:
+        raise ParameterError(f"cannot remove {remove} of {g.e} edges")
+    for u, v in rng.sample(g.edges(), remove):
+        g = g.without_edge(u, v)
+    non_edges = [(i, j) for i, r in enumerate(g.rows) for j in range(i + 1, g.n) if not r >> j & 1]
+    if add > len(non_edges):
+        raise ParameterError(f"cannot add {add} edges, only {len(non_edges)} slots")
+    for u, v in rng.sample(non_edges, add):
+        g = g.with_edge(u, v)
+    return g

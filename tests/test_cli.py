@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -241,6 +243,31 @@ class TestExitCodes:
         assert main(argv + ["--out", "/dev/full"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write /dev/full") and err.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["family", "S", "--n", "8", "--k", "2"],
+            ["mu", "Bw"],
+            ["contains", "S", "path:4", "--n", "8", "--k", "2"],
+            ["certify", "S", "--n", "8", "--k", "2"],
+            ["enumerate", "trees", "--n", "6"],
+        ],
+    )
+    def test_usage_error_failed_stdout_write(self, argv):
+        # a separate process, since the exit-time flush of standard output
+        # must not fail again: exit 2 and one error line, no traceback
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "spectree.cli", *argv],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env, check=False,
+            )
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: cannot write standard output")
+        assert done.stderr.count("\n") == 1
 
     def test_verify_one_on_violations(self, capsys, tmp_path):
         # order 2k+2 = n: spanning-tree targets fail for dense disconnected

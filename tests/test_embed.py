@@ -42,6 +42,7 @@ from spectree.embed import (
     longest_path_stats,
     min_vertex_cover_tree,
     proof_guided_spider_embed,
+    tree_test,
 )
 from oracles import (
     ahu_tree_code,
@@ -246,13 +247,87 @@ class TestSplitCertificate:
 
             return wrapper
 
-        monkeypatch.setattr(harness, "contains_tree", counted("contains", contains_tree))
+        def tests(host, budget):
+            return counted("contains", tree_test(host, budget))
+
+        monkeypatch.setattr(harness, "tree_test", tests)
         monkeypatch.setattr(embed, "_embed_tree", counted("search", embed._embed_tree))
         base = CompleteSplitPlus(24, 3)
         source = Source("perturbation", count=6, seed=1, base=base, radius=2)
         run_campaign(CampaignSpec("conjecture_b", 3, 24, 26, source))
         assert counts["contains"] > 0
         assert counts["search"] <= 0.02 * counts["contains"]
+
+
+def outcome(fn, *args):
+    """fn(*args) as ("value", result) or ("raises", the error class)."""
+    try:
+        return "value", fn(*args)
+    except (BudgetExceededError, ParameterError) as exc:
+        return "raises", type(exc)
+
+
+class TestTreeTest:
+    # tree_test(host, budget) decides one host's patterns from one shared
+    # split sequence; each verdict is contains_tree's, budget and errors too
+    TREES = [tree for t in range(4, 8) for tree in all_trees_of_order(t)]
+
+    @staticmethod
+    def hosts():
+        return [g for n in range(1, 8) for g in all_graphs(n)] + near_split_hosts()
+
+    def test_matches_contains_tree(self):
+        checked = 0
+        for host in self.hosts():
+            contains = tree_test(host)
+            for tree in self.TREES:
+                found = contains_tree(host, tree)
+                assert contains(tree) == (found is not None), (encode_graph6(host), tree.n)
+                assert found is None or is_valid_embedding(host, tree, found)
+                checked += 1
+        assert checked == (1252 + len(near_split_hosts())) * len(self.TREES)
+
+    def test_matches_brute_force(self):
+        # the permutation oracle on n <= 6 and the near-split hosts; on the
+        # 1,044 graphs of order 7 it needs about 30 s on 2 vCPUs, so those
+        # are compared with contains_tree above
+        hosts = [g for n in range(1, 7) for g in all_graphs(n)] + near_split_hosts()
+        for host in hosts:
+            contains = tree_test(host)
+            for tree in self.TREES:
+                expect = brute_force_contains(host, tree) is not None
+                assert contains(tree) == expect, (encode_graph6(host), tree.n)
+
+    def test_pattern_order_does_not_matter(self):
+        # the split sequence is extended by whichever pattern asks first
+        rng = random.Random(5)
+        for host in near_split_hosts():
+            trees = list(self.TREES)
+            rng.shuffle(trees)
+            contains = tree_test(host)
+            assert [contains(t) for t in trees] == [tree_test(host)(t) for t in trees]
+
+    def test_budget_one_raises_where_contains_tree_raises(self):
+        raised = 0
+        for host in self.hosts():
+            contains = tree_test(host, budget=1)
+            for tree in self.TREES:
+                got = outcome(contains, tree)
+                expect = outcome(contains_tree, host, tree, 1)
+                if expect[0] == "value":
+                    expect = "value", expect[1] is not None
+                assert got == expect, (encode_graph6(host), tree.n)
+                raised += got[0] == "raises"
+        assert raised > 0
+
+    def test_budget_below_one_and_non_trees_raise(self):
+        host = build_family(Complete(5))
+        for budget in (0, -1):
+            with pytest.raises(ParameterError):
+                tree_test(host, budget)(Path(4))
+        with pytest.raises(ParameterError):
+            tree_test(host)(build_family(Complete(3)))
+        assert tree_test(build_family(Path(3)))(Path(4)) is False
 
 
 class TestLinearForest:

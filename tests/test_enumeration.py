@@ -24,7 +24,7 @@ from spectree.enumeration import (
     random_graph,
 )
 
-from oracles import frozen_canonical_key
+from oracles import frozen_canonical_key, frozen_perturb_extremal
 
 
 def brute_force_class_count(n):
@@ -251,3 +251,25 @@ class TestPerturbation:
     def test_remove_too_many(self):
         with pytest.raises(ParameterError):
             perturb_extremal(CompleteSplit(5, 1), remove=100)
+
+    def test_matches_frozen_list_sampler(self):
+        # S_{n,k} and S+_{n,k} for 2 <= n <= 28 and every k, up to two edges
+        # added and two removed, seeds 0-2: the same graph or the same
+        # error message as the sampler that listed every edge and non-edge
+        def outcome(sampler, *args):
+            try:
+                return sampler(*args)
+            except ParameterError as exc:
+                return str(exc)
+
+        cases = errors = 0
+        for n in range(2, 29):
+            for family, top in ((CompleteSplit, n - 1), (CompleteSplitPlus, n - 2)):
+                for k in range(1, top + 1):
+                    for add, remove, seed in itertools.product(range(3), range(3), range(3)):
+                        args = family(n, k), add, remove, seed
+                        got = outcome(perturb_extremal, *args)
+                        assert got == outcome(frozen_perturb_extremal, *args), args
+                        cases += 1
+                        errors += isinstance(got, str)
+        assert (cases, errors) == (19683, 564)

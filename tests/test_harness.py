@@ -22,7 +22,7 @@ from spectree.graphs import (
     decode_graph6,
     encode_graph6,
 )
-from spectree.embed import all_trees_of_order, contains_tree, longest_path_stats
+from spectree.embed import all_trees_of_order, contains_tree, longest_path_stats, tree_test
 from spectree.enumeration import all_graphs, graph_order
 from spectree.spectral import LargestRoot, charpoly, spectral_radii, split_quotient
 from spectree.turan import three_leg_spiders
@@ -216,6 +216,32 @@ class TestMuCampaign:
         payload = [report.verdicts, report.violations, report.totals, report.empirical_thresholds]
         assert hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "campaign, k, base, n_max, seed, digest",
+        [
+            (
+                "conjecture_b", 3, CompleteSplitPlus(24, 3), 40, 1,
+                "da27707dcaf9d655a20689df0bd97caccf7a1c807501ce09cc362c23427475c3",
+            ),
+            (
+                "conjecture_a", 3, CompleteSplit(12, 3), 30, 2,
+                "10e2ae4b1767d22771bc261059050fda76beb6593cc5c1a0529ffd9f413fe3f4",
+            ),
+            (
+                "theorem_spider", 2, CompleteSplit(8, 2), 16, 3,
+                "8eb1c4e9235ab8744002f789b405129ee79cfc6092ede491a69fcbe9d9651b6f",
+            ),
+        ],
+    )
+    def test_pinned_perturbation_reports(self, campaign, k, base, n_max, seed, digest):
+        # radius 2, six draws per (add, remove) pair around the extremal
+        # graph from base.n to n_max: sha256 of the JSON report with its
+        # timings emptied, pinned from the sampler that listed every edge
+        # and non-edge and the containment scan that called contains_tree
+        source = Source("perturbation", count=6, seed=seed, base=base, radius=2)
+        report = run_campaign(CampaignSpec(campaign, k, base.n, n_max, source))
+        assert lemma_digest(report) == digest
+
     def test_random_source_deterministic(self):
         # 30 draws on 4 vertices (11 classes) repeat keys; verdicts come in
         # (n, key, index) order and two runs agree byte for byte outside
@@ -367,15 +393,27 @@ class TestExactThreshold:
         assert checks.check_report(workload, report_n8, checks.MuOracle()) == []
 
 
+def count_tree_tests(monkeypatch, calls, key):
+    """Make harness.tree_test count, in calls[key], the patterns that its
+    per-host tests decide."""
+
+    def counting(host, budget):
+        contains = tree_test(host, budget)
+
+        def counted(pattern):
+            calls[key] += 1
+            return contains(pattern)
+
+        return counted
+
+    monkeypatch.setattr(harness, "tree_test", counting)
+
+
 def count_containment(monkeypatch):
-    """Make harness.contains_tree count its calls; returns the counter."""
+    """Count the (graph, pattern) pairs the harness tests; returns the
+    counter."""
     calls = [0]
-
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return contains_tree(*args, **kwargs)
-
-    monkeypatch.setattr(harness, "contains_tree", counting)
+    count_tree_tests(monkeypatch, calls, 0)
     return calls
 
 
@@ -412,6 +450,7 @@ class TestInheritedMissing:
         calls = count_containment(monkeypatch)
         report = run_campaign(small_spec(n_min=8, n_max=8))
         assert 0 < calls[0] <= 9000
+        assert calls[0] == 8483
         assert report.verdicts == report_n8.verdicts
         patterns = harness._patterns(small_spec())
         for v in report.verdicts:
@@ -477,7 +516,7 @@ def count_lemma_work(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(turan, "longest_path_stats", counting("dp", longest_path_stats))
-    monkeypatch.setattr(harness, "contains_tree", counting("spider", contains_tree))
+    count_tree_tests(monkeypatch, calls, "spider")
     return calls
 
 
@@ -526,6 +565,7 @@ class TestInheritedLemmas:
         report = run_campaign(small_spec(campaign="lemma_suite", n_min=8, n_max=8))
         assert 0 < calls["dp"] <= 3000
         assert 0 < calls["spider"] <= 1500
+        assert calls["spider"] == 1281
         assert lemma_digest(report) == self.REPORT_8_8
 
     def test_range_report(self):
