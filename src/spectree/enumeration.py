@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
-from itertools import islice
+from itertools import islice, tee
 
 from .errors import CapExceededError, ParameterError
 from .graphs import (
@@ -61,9 +60,8 @@ def graph_order(n, cap=EXHAUSTIVE_CAP):
     reached.  Twins of the parent are interchangeable, so in each twin
     class the new vertex is joined only to a prefix of the class.  The
     children stream as (parent, mask) pairs into stacks of adjacency
-    matrices, which `_stack_keys` keys; keys can come out of generation
-    order, so each class takes the parent of its earliest child, the
-    smallest parent index, since the parents generate in index order."""
+    matrices, which `_stack_keys` keys in generation order, so each class
+    takes the parent of its first child."""
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     if cap > OPT_IN_CAP:
@@ -75,14 +73,12 @@ def graph_order(n, cap=EXHAUSTIVE_CAP):
     if n == 1:
         keys, parents = (encode_graph6(Graph(1, (0,), 0)),), (None,)
     else:
-        starts = []  # generation index of each parent's first child
         # one int object per parent, shared by every class it names
         ids = list(range(len(graph_order(n - 1).keys)))
-        first = {}  # key -> parent of its earliest child
-        for i, key in _stack_keys(_child_stacks(n, starts)):
-            parent = ids[bisect_right(starts, i) - 1]
-            if first.get(key, parent) >= parent:
-                first[key] = parent
+        children, links = tee(_children(n))
+        first = {}  # key -> parent of its first child
+        for (parent, _), key in zip(links, _stack_keys(_child_stacks(n, children))):
+            first.setdefault(key, ids[parent])
         keys = tuple(sorted(first))
         parents = tuple(first[k] for k in keys)
     order = _cache[n] = _Order(keys, parents)
@@ -112,24 +108,16 @@ def _children(n):
             yield parent, mask
 
 
-def _child_stacks(n, starts):
-    """The children of `_children(n)` as (m, n, n) 0/1 float adjacency
-    stacks of `_slice_size(n)`: each parent's matrix, taken
-    from one stack of the n - 1 order, bordered by its child's mask bits.
-    Appends to `starts`, for each parent in turn, the index of its first
-    child in generation order."""
+def _child_stacks(n, children):
+    """A stream of `_children(n)` as (m, n, n) 0/1 float adjacency stacks
+    of `_slice_size(n)`: each parent's matrix, taken from one stack of the
+    n - 1 order, bordered by its child's mask bits."""
     import numpy as np
 
     prev = graph_order(n - 1).graphs
     base = _bit_rows((r for g in prev for r in g.rows), n - 1).reshape(len(prev), n - 1, n - 1)
-    children = _children(n)
-    done = 0
     while batch := list(islice(children, _slice_size(n))):
         index, masks = zip(*batch)
-        for parent in index:
-            while len(starts) <= parent:
-                starts.append(done)
-            done += 1
         new = _bit_rows(masks, n - 1)
         stack = np.zeros((len(batch), n, n), np.uint8)
         stack[:, :-1, :-1] = base[list(index)]
@@ -185,17 +173,22 @@ def _nth_pair(g, index, present):
 
 def perturb_extremal(base, add=0, remove=0, seed=0):
     """Remove `remove` random edges from the extremal base graph, then add
-    `add` random non-edges.  Reproducible per seed.
+    `add` random non-edges.  Reproducible per seed (see `_perturb`)."""
+    if not isinstance(base, (CompleteSplit, CompleteSplitPlus)):
+        raise ParameterError("base must be CompleteSplit or CompleteSplitPlus")
+    if add < 0 or remove < 0:
+        raise ParameterError("add and remove must be nonnegative")
+    return _perturb(build_family(base), add, remove, seed)
+
+
+def _perturb(g, add, remove, seed):
+    """The graph g with `remove` random edges removed, then `add` random
+    non-edges added, for `add`, `remove` >= 0.
 
     Each step draws indices into the lexicographic list of the edges, or of
     the non-edges, of the graph as it was before the step, and maps only
     the drawn indices to pairs; `random.sample` draws the same indices from
     a range as from a list of that length."""
-    if not isinstance(base, (CompleteSplit, CompleteSplitPlus)):
-        raise ParameterError("base must be CompleteSplit or CompleteSplitPlus")
-    if add < 0 or remove < 0:
-        raise ParameterError("add and remove must be nonnegative")
-    g = build_family(base)
     rng = random.Random(seed)
     if remove > g.e:
         raise ParameterError(f"cannot remove {remove} of {g.e} edges")

@@ -476,10 +476,9 @@ def parse_edge_list(text):
 # -- adjacency stacks --------------------------------------------------------
 
 # Matrix entries per batched numpy pass: every stack of n-vertex graphs
-# (`_graph_stacks`, the enumeration's `_child_stacks` and the groups of
-# `_stack_keys`) holds `_slice_size(n)` graphs, 256 at n = 8 and 10 at
-# n = 40.  Bounding entries rather than graphs keeps the transient arrays
-# small at every order.
+# (`_graph_stacks` and the enumeration's `_child_stacks`) holds
+# `_slice_size(n)` graphs, 256 at n = 8 and 10 at n = 40.  Bounding entries
+# rather than graphs keeps the transient arrays small at every order.
 #
 # The functions below import numpy when they run.  This module is the
 # package's first import, and loading numpy from here instead of from
@@ -490,10 +489,12 @@ def parse_edge_list(text):
 # matrix-vector products, which spectral_radii maps into memory anyway:
 # each further kind of numpy kernel maps 64 KB or more of the library (a
 # stable argsort of the colours mapped 128 KB, read from /proc/self/pagemap).
-# Its arrays have a slice's number of rows, not the number that one path
-# takes, since numpy keeps freed blocks under 1 KB for reuse and arrays of
-# many sizes would each hold some.  And it imports no module the package
-# does not load anyway: the array module alone added about 150 KB.
+# So `_batch_minimum` multiplies as a batch of matrix-vector products,
+# (members, L) times (P, L, 1): the same minimum as one (members, L) times
+# (L, P) matrix product, which runs another BLAS kernel and read 0.25 MB
+# more peak RSS on the n = 8 campaign.  And the keying code imports no
+# module the package does not load anyway: the array module alone added
+# about 150 KB.
 BATCH_ENTRIES = 1 << 14
 
 
@@ -651,21 +652,6 @@ def _ordering_weights(sizes):
     return value[place[:, upper_i], place[:, upper_j]]
 
 
-def _code_bits(codes, count):
-    """The `count` bits of each value of a 1-d array of integer-valued
-    floats below 2^count <= 2^52, most significant first, as floats.  Each
-    floor is a rounding at the scale of 2^52, stepped down where it rounded
-    up."""
-    import numpy as np
-
-    scaled = codes[:, None] * [2.0**-i for i in range(count - 1, -1, -1)]
-    nearest = scaled + 2.0**52 - 2.0**52
-    heads = nearest - np.where(nearest > scaled, 1.0, 0.0)
-    bits = heads.copy()
-    bits[:, 1:] -= 2.0 * heads[:, :-1]
-    return bits
-
-
 def _search(rows, colors):
     """The graph6 body (see `_graph6`) of the minimum upper-triangle bit
     code over all vertex orderings consistent with the colour classes,
@@ -754,10 +740,7 @@ def canonical_keys(graphs):
         raise CapExceededError(f"canonical form capped at n={CANONICAL_CAP}, got n={n}")
     if n <= 1:
         return [encode_graph6(g) for g in graphs]
-    keys = [None] * len(graphs)
-    for i, key in _stack_keys(stacks):
-        keys[i] = key
-    return keys
+    return list(_stack_keys(stacks))
 
 
 # Colour-respecting orderings up to which a graph takes the minimum code
@@ -767,33 +750,27 @@ _BATCH_ORDERINGS = 64
 
 
 def _stack_keys(stacks):
-    """(index, canonical_key) for each graph of a stream of (m, n, n) 0/1
-    float adjacency stacks of one order n >= 2, the index counting graphs
-    across the stream.
+    """The canonical_key of each graph of a stream of (m, n, n) 0/1 float
+    adjacency stacks of one order n >= 2, in stream order.
 
     Each stack is refined at once, and each graph takes its path from P,
     the number of its colour-respecting orderings: the product of the
     factorials of its colour-class sizes.  A discrete colouring (P = 1)
-    has one ordering, the vertices by colour, so the key is its code.  A
-    graph with P <= _BATCH_ORDERINGS waits in a group of one
-    colour-class-size composition, gathered over the whole stream; a group
-    takes the minimum code over all its orderings in one numpy pass when
-    it fills a slice of `_slice_size(n)` graphs or the stream ends.  The
-    rest are searched one by one from their batch colours, with bitset
-    rows read off the stack.  Waiting graphs are keyed when their group
-    is, so indices come out of order.  Every key is written by `_graph6`
-    from its code, and only when it is yielded."""
+    has one ordering, the vertices by colour, so the key is its code.  The
+    graphs of a stack with 1 < P <= _BATCH_ORDERINGS are grouped by
+    colour-class-size composition, and each group takes the minimum code
+    over all its orderings in `_batch_minimum`.  The rest are searched one
+    by one from their batch colours, with bitset rows read off the stack.
+    Each composition's `_ordering_weights` is computed once per stream."""
     import numpy as np
 
-    groups = {}  # class sizes -> bytes of (int64 indices, float64 base-order codes)
-    start = 0
+    weights = {}  # class sizes -> _ordering_weights(class sizes)
     for adj in stacks:
         m, n, _ = adj.shape
-        if not start:
-            size = _slice_size(n)
+        if not weights:
             upper_i, upper_j = _graph6_pairs(n)
             # the one ordering of n singleton classes: the base order
-            weights = _ordering_weights((1,) * n)[0]
+            base = weights[(1,) * n] = _ordering_weights((1,) * n)
             bit = np.array([float(1 << v) for v in range(n)])
             shades = np.arange(n, dtype=float)
         colors = _refine_color_stack(adj)
@@ -802,50 +779,36 @@ def _stack_keys(stacks):
         ordered = np.empty_like(adj)
         ordered[np.arange(m)[:, None, None], place[:, :, None], place[:, None, :]] = adj
         pairs = ordered[:, upper_i, upper_j]
-        codes = (pairs @ weights[:, None])[:, 0]
-        # class sizes of every graph: a whole-stack array (see BATCH_ENTRIES)
-        blob = codes.tobytes()
+        # each graph's code in the base order, its key's code when P = 1
+        codes = (pairs @ base[0][:, None])[:, 0].tolist()
         sizes = np.where(colors[:, :, None] == shades, 1.0, 0.0).sum(axis=1).tolist()
+        groups = {}  # class sizes -> indices in the stack
         for i in range(m):
             # a tuple of known length: tuple() of a generator resizes it,
             # and the freed tuples then pile up on the interpreter's
             # freelists
             composition = tuple([int(k) for k in sizes[i] if k])
             orderings = math.prod(map(math.factorial, composition))
-            if orderings == 1:
-                yield start + i, _graph6(n, int(codes[i]))
-                continue
             if orderings > _BATCH_ORDERINGS:
                 rows = [int(r) for r in (adj[i] @ bit).tolist()]
-                yield start + i, _graph6(n, _search(rows, colors[i].tolist()))
-                continue
-            indices, pending = groups.setdefault(composition, (bytearray(), bytearray()))
-            indices += (start + i).to_bytes(8, "little")
-            pending += blob[8 * i : 8 * i + 8]
-            if len(pending) == 8 * size:
-                del groups[composition]
-                yield from _min_over_orderings(n, composition, indices, pending, size)
-        start += m
-    for composition, (indices, pending) in groups.items():
-        yield from _min_over_orderings(n, composition, indices, pending, size)
+                codes[i] = _search(rows, colors[i].tolist())
+            elif orderings > 1:
+                groups.setdefault(composition, []).append(i)
+        for composition, members in groups.items():
+            if composition not in weights:
+                weights[composition] = _ordering_weights(composition)
+            for i, code in zip(members, _batch_minimum(pairs, members, weights[composition])):
+                codes[i] = code
+        for code in codes:
+            yield _graph6(n, int(code))
 
 
-def _min_over_orderings(n, composition, indices, codes, size):
-    """(index, key) for a group of at most `size` graphs of one
-    colour-class-size composition, from the bytes of their indices and
-    base-order codes: the minimum code over all colour-respecting
-    orderings, one matrix-vector product per ordering.  The codes fill a
-    zero array of `size` rows, so that every group has arrays of one
-    shape (see BATCH_ENTRIES)."""
-    import numpy as np
-
-    count = len(codes) // 8
-    full = np.zeros(size)
-    full[:count] = np.frombuffer(codes)
-    pairs = _code_bits(full, n * (n - 1) // 2)
-    mins = (pairs @ _ordering_weights(composition)[:, :, None]).min(axis=0)[:count, 0]
-    keys = [_graph6(n, int(code)) for code in mins.tolist()]
-    return zip(np.frombuffer(indices, "<i8").tolist(), keys)
+def _batch_minimum(pairs, members, weights):
+    """The minimum code over all colour-respecting orderings of the graphs
+    `members` of a stack, from the stack's base-order pair bits and their
+    composition's `_ordering_weights`: one matrix-vector product per
+    ordering, batched (see BATCH_ENTRIES)."""
+    return (pairs[members] @ weights[:, :, None]).min(axis=0)[:, 0].tolist()
 
 
 # -- structural isomorphism tests for the extremal families ---------------

@@ -42,7 +42,7 @@ from .spectral import (
     split_quotient,
 )
 from .embed import DEFAULT_BUDGET, all_trees_of_order, tree_test
-from .enumeration import graph_order, perturb_extremal, random_graph
+from .enumeration import _perturb, graph_order, random_graph
 from .turan import check_lemma, edge_threshold_S_plus, partitions, spider_graphs
 
 SCHEMA_VERSION = 1
@@ -142,7 +142,6 @@ def _source(spec, n):
             for i in range(src.count)
         ]
     elif src.kind == "perturbation":
-        base = type(src.base)(n, src.base.k)
         # the unperturbed base, then `count` draws per (add, remove) pair
         draws = [
             (a, r)
@@ -151,9 +150,9 @@ def _source(spec, n):
             if a + r
             for _ in range(src.count)
         ]
-        graphs = [build_family(base)] + [
-            perturb_extremal(base, add=a, remove=r, seed=src.seed * 7_654_321 + i)
-            for i, (a, r) in enumerate(draws, start=1)
+        g = build_family(type(src.base)(n, src.base.k))
+        graphs = [g] + [
+            _perturb(g, a, r, src.seed * 7_654_321 + i) for i, (a, r) in enumerate(draws, start=1)
         ]
     else:
         raise ParameterError(f"unknown source kind {src.kind!r}")

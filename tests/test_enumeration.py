@@ -16,7 +16,7 @@ from spectree.graphs import (
     decode_graph6,
     encode_graph6,
 )
-from spectree import enumeration
+from spectree import enumeration, graphs
 from spectree.enumeration import (
     all_graphs,
     graph_order,
@@ -83,7 +83,13 @@ class TestAllGraphs:
         reason="opt-in n = 9 tier, about 9 s; set SPECTREE_SLOW=1",
     )
     def test_opt_in_n9_count(self):
-        assert len(graph_order(9, cap=9).keys) == 274668
+        # keys and parents pinned as at n = 7 and 8
+        order = graph_order(9, cap=9)
+        assert len(order.keys) == 274668
+        keys = hashlib.sha256("\n".join(order.keys).encode()).hexdigest()
+        assert keys == "84c0f2b683ec39628c405a8c2a125d40dceb0097d2e6c3c61d3cfc041e94d11b"
+        parents = hashlib.sha256(",".join(map(str, order.parents)).encode()).hexdigest()
+        assert parents == "53975fa24cc29d7db97fa848c72bd63178aa0028a1ebda5ddc9e13827cd3e564"
 
     def test_connected_counts(self):
         assert [len(all_graphs(n, connected_only=True)) for n in range(1, 7)] == [
@@ -152,6 +158,23 @@ class TestAugmentation:
         assert counts == [1, 2, 4, 11, 34, 156, 1044]
         assert len(keyed) == 2088
         assert sorted(set(keyed)) == list(range(2, 8))
+
+    def test_ordering_weights_once_per_composition(self, monkeypatch):
+        # the keyer builds each colour-class composition's ordering weights
+        # once per stream: 192 over the children on n <= 8, the base order
+        # once per n among them
+        built = []
+        ordering_weights = graphs._ordering_weights
+
+        def counting_weights(sizes):
+            built.append(sizes)
+            return ordering_weights(sizes)
+
+        monkeypatch.setattr(enumeration, "_cache", {})
+        monkeypatch.setattr(graphs, "_ordering_weights", counting_weights)
+        assert len(graph_order(8).keys) == 12346
+        assert len(built) == len(set(built)) == 192
+        assert [(1,) * n in built for n in range(2, 9)] == [True] * 7
 
 
 class TestParentLinks:

@@ -400,20 +400,33 @@ def ordering_count(g):
 def keying_paths(monkeypatch):
     """Record, per canonical_keys call, the stream indices that the batch
     minimum over orderings keys and the bitset rows that the scalar search
-    gets."""
+    gets.  The keyer keys each stack before it takes the next, so a group
+    member's stream index is its index in the stack plus the number of
+    graphs in the stacks before."""
     batched, searched = [], []
-    min_over, search = graphs._min_over_orderings, graphs._search
+    before = 0
+    stack_keys, minimum, search = graphs._stack_keys, graphs._batch_minimum, graphs._search
 
-    def batch(*args):
-        keyed = list(min_over(*args))
-        batched.extend(i for i, _ in keyed)
-        return keyed
+    def keys(stacks):
+        def counted():
+            nonlocal before
+            before = 0
+            for stack in stacks:
+                yield stack
+                before += len(stack)
+
+        return stack_keys(counted())
+
+    def batch(pairs, members, weights):
+        batched.extend(before + i for i in members)
+        return minimum(pairs, members, weights)
 
     def scalar(rows, colors):
         searched.append(tuple(rows))
         return search(rows, colors)
 
-    monkeypatch.setattr(graphs, "_min_over_orderings", batch)
+    monkeypatch.setattr(graphs, "_stack_keys", keys)
+    monkeypatch.setattr(graphs, "_batch_minimum", batch)
     monkeypatch.setattr(graphs, "_search", scalar)
     return batched, searched
 
