@@ -499,25 +499,29 @@ class SpiderTrace:
     notes: list = field(default_factory=list)
 
 
+def is_theorem_spider(spider):
+    """Whether the spider theorem covers `spider`: r >= 3 odd legs and
+    2s - r >= 2 for its s unit legs."""
+    r = spider.odd_legs
+    return r >= 3 and 2 * spider.unit_legs - r >= 2
+
+
 def proof_guided_spider_embed(g, spider, k, budget=DEFAULT_BUDGET):
     """Constructive spider embedding replaying the extremal argument.
 
-    Requires a spider of order 2k+3 with at least 3 odd legs and
-    2*(unit legs) - (odd legs) >= 2.  Picks a vertex u with nonnegative
-    walk sum, branches on deg(u) vs log2(n), and assembles the spider from
-    a linear forest found in the local graph around u.  Falls back to the
-    generic exact search when the constructive route fails at desk scale;
-    any returned embedding is validated.
+    Requires a spider of order 2k+3 that `is_theorem_spider`.  Picks a
+    vertex u with nonnegative walk sum, branches on deg(u) vs log2(n), and
+    assembles the spider from a linear forest found in the local graph
+    around u.  Falls back to the generic exact search when the constructive
+    route fails at desk scale; any returned embedding is validated.
     """
     _Budget(budget)  # a budget below 1 fails here, before any route
     if not isinstance(spider, Spider):
         raise ParameterError("pattern must be a Spider spec")
     spider.validate()
-    r = spider.odd_legs
-    s = spider.unit_legs
-    if r < 3 or 2 * s - r < 2:
+    if not is_theorem_spider(spider):
         raise HypothesisViolationError(
-            f"need r >= 3 and 2s - r >= 2, got r={r}, s={s}"
+            f"need r >= 3 odd legs and 2s - r >= 2 for s unit legs, got legs {spider.legs}"
         )
     if spider.order != 2 * k + 3:
         raise HypothesisViolationError(

@@ -41,9 +41,9 @@ from .spectral import (
     spectral_radii,
     split_quotient,
 )
-from .embed import DEFAULT_BUDGET, all_trees_of_order, tree_test
+from .embed import DEFAULT_BUDGET, all_trees_of_order, is_theorem_spider, tree_test
 from .enumeration import _perturb, graph_order, random_graph
-from .turan import check_lemma, edge_threshold_S_plus, partitions, spider_graphs
+from .turan import check_lemma, lemma_hypothesis, lemma_trees, partitions
 
 SCHEMA_VERSION = 1
 
@@ -178,14 +178,10 @@ def _patterns(spec):
             for t in (2 * k + 2 - s,)
         ]
     if c == "theorem_spider":
-        out = []
-        for legs in partitions(2 * k + 2):
-            sp = Spider(*legs)
-            if sp.odd_legs >= 3 and 2 * sp.unit_legs - sp.odd_legs >= 2:
-                out.append((f"spider_{'_'.join(map(str, legs))}", build_family(sp)))
-        return out
+        spiders = filter(is_theorem_spider, map(Spider, partitions(2 * k + 2)))
+        return [(f"spider_{'_'.join(map(str, sp.legs))}", build_family(sp)) for sp in spiders]
     if c == "broom_turan":
-        return [(f"broom_2_{2 * k + 1}", build_family(Broom(2, 2 * k + 1)))]
+        return lemma_trees("broom_turan", k)
     if c == "genbroom_explore":
         out = []
         order = 2 * k + 3
@@ -357,7 +353,8 @@ def _facts(spec):
     containment campaigns; for lemma_suite the exact longest-path sum and
     the missing three-leg spiders for t = 4 and 5."""
     if spec.campaign == "lemma_suite":
-        rules = {t: partial(_absent, spider_graphs(t), spec.budget) for t in (4, 5)}
+        spiders = partial(lemma_trees, "spider3_erdos_sos")
+        rules = {t: partial(_absent, spiders(t), spec.budget) for t in (4, 5)}
         rules["p_sum"] = _path_sum
     else:
         rules = {"missing": partial(_absent, _patterns(spec), spec.budget)}
@@ -377,11 +374,8 @@ def _checker(spec, n, facts):
         return [name for name, _ in facts.scanned("missing", n, index, g, parent)]
 
     if c == "broom_turan":
-        edges = edge_threshold_S_plus(n, k) if n >= k + 2 else None
-
         def broom_turan(index, key, g, parent, mu):
-            # advisory at small n; thresholds reported
-            if edges is None or g.e < edges or not g.is_connected():
+            if not lemma_hypothesis("broom_turan", g, k):
                 return _verdict(index, n, key, None, "non_qualifying")
             return _verdict(index, n, key, None, "qualifying", missing(index, g, parent))
 
@@ -415,15 +409,15 @@ def _lemma_suite_verdict(n, facts, index, key, g, parent, mu):
     """The lemmas of `check_lemma` ("sum_longest_path" and
     "spider3_erdos_sos" for t = 4, 5) and the two mu bounds.  The path
     lemma runs the longest-path DP only when the parent's sum does not
-    settle it; a spider lemma whose hypothesis e > (t - 2)n/2 holds tests
-    only the spiders the parent misses."""
+    settle it; a spider lemma whose hypothesis holds tests only the
+    spiders the parent misses."""
     failures = []
     up = facts.of("p_sum", n - 1, parent)
     if up is None or 2 * g.e > _path_sum_floor(up, g.e):
         if 2 * g.e > facts.scanned("p_sum", n, index, g, parent):
             failures.append("sum_longest_path")
     for t in (4, 5):
-        if g.e > (t - 2) * g.n / 2 and facts.scanned(t, n, index, g, parent):
+        if lemma_hypothesis("spider3_erdos_sos", g, t) and facts.scanned(t, n, index, g, parent):
             failures.append(f"spider3_t{t}")
     if mu > bound_edges(g.e) + 1e-9:
         failures.append("edge_bound")

@@ -87,8 +87,7 @@ def spectral_radius(g, tol=DEFAULT_TOL):
 
 def mu_S_closed(n, k):
     """Closed-form spectral radius of the complete-split graph S_{n,k}."""
-    if not 1 <= k <= n - 1:
-        raise ParameterError(f"require 1 <= k <= n-1, got n={n}, k={k}")
+    CompleteSplit(n, k).validate()
     radicand = k * n - (3 * k * k + 2 * k - 1) / 4
     if radicand <= 0:
         raise ParameterError(f"nonpositive radicand for n={n}, k={k}")
@@ -97,8 +96,7 @@ def mu_S_closed(n, k):
 
 def mu_S_plus_bounds(n, k):
     """Strict sandwich (lo, hi) around the spectral radius of S+_{n,k}."""
-    if not 1 <= k <= n - 2:
-        raise ParameterError(f"require 1 <= k <= n-2, got n={n}, k={k}")
+    CompleteSplitPlus(n, k).validate()
     denom = n - k - 2 * math.sqrt((n - k) / k)
     if denom <= 0:
         raise BoundInapplicableError(

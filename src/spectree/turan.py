@@ -12,13 +12,14 @@ from functools import lru_cache
 from .errors import HypothesisViolationError, ParameterError
 from .graphs import (
     Broom,
+    CompleteSplitPlus,
     Graph,
     Path,
     Spider,
     build_family,
     is_complete_split_plus,
 )
-from .embed import contains_tree, longest_path_stats
+from .embed import longest_path_stats, tree_test
 
 
 @dataclass(frozen=True)
@@ -42,21 +43,23 @@ class LemmaVerdict:
 
 def bound_path(n, t):
     """Max edges of a P_t-free graph on n vertices: (t-2)n/2.  Exact."""
-    if n < 1 or t < 1:
-        raise ParameterError(f"require n, t >= 1, got n={n}, t={t}")
+    if n < 1 or t < 2:
+        raise ParameterError(f"require n >= 1 and t >= 2, got n={n}, t={t}")
     return TuranBound(Path(t), n, (t - 2) * n / 2, "exact")
 
 
 def bound_ell_P3(n, ell):
     """Max edges of an (ell P_3)-free graph: below (ell - 1/2)n for large n."""
-    if ell < 2:
-        raise ParameterError(f"require ell >= 2, got {ell}")
+    if n < 1 or ell < 2:
+        raise ParameterError(f"require n >= 1 and ell >= 2, got n={n}, ell={ell}")
     return TuranBound(("P3",) * ell, n, (ell - 0.5) * n, "asymptotic")
 
 
 def bound_linear_forest(n, lengths):
     """Linear-forest bound (sum of floor(a_i/2) - 1) n for large n."""
     lengths = tuple(lengths)
+    if n < 1:
+        raise ParameterError(f"require n >= 1, got {n}")
     if len(lengths) < 2:
         raise ParameterError("need at least 2 path components")
     if any(a < 2 for a in lengths):
@@ -69,8 +72,7 @@ def bound_linear_forest(n, lengths):
 
 def edge_threshold_S_plus(n, k):
     """Edge count of S+_{n,k}: the Turán threshold forcing the long broom."""
-    if not 1 <= k <= n - 2:
-        raise ParameterError(f"require 1 <= k <= n-2, got n={n}, k={k}")
+    CompleteSplitPlus(n, k).validate()
     return k * n - k * (k + 1) // 2 + 1
 
 
@@ -90,10 +92,27 @@ def three_leg_spiders(t):
     return [Spider(*legs) for legs in sorted(p for p in partitions(t - 1) if len(p) == 3)]
 
 
+def lemma_hypothesis(lemma, g, param):
+    """Whether g meets the exact hypothesis of a containment lemma of
+    `check_lemma`, for t = param ("spider3_erdos_sos") or k = param
+    ("broom_turan", "path_turan")."""
+    if lemma == "spider3_erdos_sos":
+        return 2 * g.e > (param - 2) * g.n
+    k = param
+    holds = g.n >= k + 2 and g.e >= edge_threshold_S_plus(g.n, k) and g.is_connected()
+    return holds and (lemma == "broom_turan" or not is_complete_split_plus(g, k))
+
+
 @lru_cache(maxsize=16)
-def spider_graphs(t):
-    """(legs, graph) of each of three_leg_spiders(t), in that order."""
-    return tuple((sp.legs, build_family(sp)) for sp in three_leg_spiders(t))
+def lemma_trees(lemma, param):
+    """The (name, tree) pairs that a containment lemma's conclusion asks
+    for: the three-leg spiders on t = param vertices, named by their legs,
+    or the one path or broom for k = param."""
+    if lemma == "spider3_erdos_sos":
+        return tuple((sp.legs, build_family(sp)) for sp in three_leg_spiders(param))
+    if lemma == "path_turan":
+        return ((f"path_{2 * param + 3}", build_family(Path(2 * param + 3))),)
+    return ((f"broom_2_{2 * param + 1}", build_family(Broom(2, 2 * param + 1))),)
 
 
 def check_lemma(g, lemma, k=None, t=None):
@@ -114,38 +133,21 @@ def check_lemma(g, lemma, k=None, t=None):
         return LemmaVerdict(
             lemma, g, True, concl, not concl, False, {"p_sum": sum(stats.p)}
         )
-    if lemma == "path_turan":
-        if k is None:
-            raise ParameterError("path_turan requires k")
-        if not g.is_connected():
-            raise HypothesisViolationError("path_turan requires a connected graph")
-        hyp = g.e >= edge_threshold_S_plus(g.n, k) if g.n >= k + 2 else False
-        hyp = hyp and not is_complete_split_plus(g, k)
-        concl = contains_tree(g, Path(2 * k + 3)) is not None if hyp else False
-        return LemmaVerdict(lemma, g, hyp, concl, hyp and not concl, True)
-    if lemma == "spider3_erdos_sos":
-        if t is None:
-            raise ParameterError("spider3_erdos_sos requires t")
-        if t < 4:
-            raise ParameterError(f"spider3_erdos_sos requires t >= 4, got t={t}")
-        hyp = g.e > (t - 2) * g.n / 2
-        missing = []
-        if hyp:
-            for legs, sp in spider_graphs(t):
-                if contains_tree(g, sp) is None:
-                    missing.append(legs)
-        concl = hyp and not missing
-        return LemmaVerdict(
-            lemma, g, hyp, concl, hyp and not concl, False, {"missing": missing}
-        )
-    if lemma == "broom_turan":
-        if k is None:
-            raise ParameterError("broom_turan requires k")
-        if not g.is_connected():
-            raise HypothesisViolationError("broom_turan requires a connected graph")
-        hyp = g.n >= k + 2 and g.e >= edge_threshold_S_plus(g.n, k)
-        concl = (
-            contains_tree(g, Broom(2, 2 * k + 1)) is not None if hyp else False
-        )
-        return LemmaVerdict(lemma, g, hyp, concl, hyp and not concl, True)
-    raise ParameterError(f"unknown lemma id {lemma!r}")
+    spider = lemma == "spider3_erdos_sos"
+    if not spider and lemma not in ("path_turan", "broom_turan"):
+        raise ParameterError(f"unknown lemma id {lemma!r}")
+    param = t if spider else k
+    if param is None:
+        raise ParameterError(f"{lemma} requires {'t' if spider else 'k'}")
+    if spider and t < 4:
+        raise ParameterError(f"spider3_erdos_sos requires t >= 4, got t={t}")
+    if not spider and not g.is_connected():
+        raise HypothesisViolationError(f"{lemma} requires a connected graph")
+    hyp = lemma_hypothesis(lemma, g, param)
+    missing = []
+    if hyp:
+        contains = tree_test(g)
+        missing = [name for name, tree in lemma_trees(lemma, param) if not contains(tree)]
+    concl = hyp and not missing
+    details = {"missing": missing} if spider else {}
+    return LemmaVerdict(lemma, g, hyp, concl, hyp and not concl, not spider, details)

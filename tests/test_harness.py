@@ -11,21 +11,28 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from spectree.errors import BudgetExceededError, ParameterError
+from spectree.errors import BudgetExceededError, HypothesisViolationError, ParameterError
 from spectree.graphs import (
     Complete,
     CompleteSplit,
     CompleteSplitPlus,
+    Spider,
     _slice_size,
     build_family,
     canonical_key,
     decode_graph6,
     encode_graph6,
 )
-from spectree.embed import all_trees_of_order, contains_tree, longest_path_stats, tree_test
+from spectree.embed import (
+    all_trees_of_order,
+    contains_tree,
+    longest_path_stats,
+    proof_guided_spider_embed,
+    tree_test,
+)
 from spectree.enumeration import all_graphs, graph_order
 from spectree.spectral import LargestRoot, charpoly, spectral_radii, split_quotient
-from spectree.turan import three_leg_spiders
+from spectree.turan import check_lemma, partitions, three_leg_spiders
 from spectree import harness, turan
 from spectree.harness import (
     CAMPAIGNS,
@@ -617,6 +624,51 @@ class TestOtherCampaigns:
 
     def test_campaign_registry(self):
         assert "conjecture_a" in CAMPAIGNS and "lemma_suite" in CAMPAIGNS
+
+
+class TestCampaignsAgreeWithCheckLemma:
+    # the campaigns take the lemmas' hypotheses and trees from turan, so on
+    # every graph with n <= 7 their rows read as check_lemma's verdicts
+    def test_lemma_suite_spider_rows(self):
+        report = run_campaign(small_spec(campaign="lemma_suite", n_min=1, n_max=7))
+        assert len(report.verdicts) == sum(len(graph_order(n).graphs) for n in range(1, 8))
+        for v in report.verdicts:
+            g = decode_graph6(v["key"])
+            for t in (4, 5):
+                violation = check_lemma(g, "spider3_erdos_sos", t=t).violation
+                assert (f"spider3_t{t}" in v["missing"]) == violation, (v["key"], t)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_broom_turan_rows(self, k):
+        report = run_campaign(small_spec(campaign="broom_turan", k=k, n_min=1, n_max=7))
+        assert len(report.verdicts) == sum(len(graph_order(n).graphs) for n in range(1, 8))
+        for v in report.verdicts:
+            g = decode_graph6(v["key"])
+            qualifies = v["classification"] == "qualifying"
+            if not g.is_connected():
+                assert not qualifies, v["key"]
+                continue
+            verdict = check_lemma(g, "broom_turan", k=k)
+            assert qualifies == verdict.hypothesis_holds, v["key"]
+            assert bool(v["missing"]) == verdict.violation, v["key"]
+        # the lemma is asymptotic: small orders do fail it
+        assert report.totals["violations"] > 0
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_theorem_spider_patterns_are_the_embedder_class(self, k):
+        # the spiders on 2k + 3 vertices that the proof-guided embedder
+        # takes are exactly the campaign's patterns, in partition order
+        host = build_family(Complete(2 * k + 3))
+        accepted = []
+        for legs in partitions(2 * k + 2):
+            try:
+                proof_guided_spider_embed(host, Spider(*legs), k)
+            except HypothesisViolationError:
+                continue
+            accepted.append(f"spider_{'_'.join(map(str, legs))}")
+        patterns = harness._patterns(small_spec(campaign="theorem_spider", k=k))
+        assert [name for name, _ in patterns] == accepted
+        assert 0 < len(accepted) < len(list(partitions(2 * k + 2)))
 
 
 class TestExhaustiveKeys:

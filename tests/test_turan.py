@@ -12,6 +12,7 @@ from spectree.graphs import (
     disjoint_union,
 )
 from spectree.embed import longest_path_stats
+from spectree.spectral import mu_S_closed, mu_S_plus_bounds
 from spectree.turan import (
     bound_ell_P3,
     bound_linear_forest,
@@ -56,6 +57,34 @@ class TestBounds:
             bound_linear_forest(20, (4,))
         with pytest.raises(ParameterError):
             bound_linear_forest(20, (4, 1))
+
+    def test_path_bound_needs_two_vertices(self):
+        # every graph on n >= 1 vertices contains P_1: no P_1-free graph
+        # exists, and (t-2)n/2 would read -n/2
+        with pytest.raises(ParameterError):
+            bound_path(3, 1)
+
+    def test_ell_p3_bound_needs_a_vertex(self):
+        with pytest.raises(ParameterError):
+            bound_ell_P3(-5, 2)
+
+    def test_linear_forest_bound_needs_a_vertex(self):
+        with pytest.raises(ParameterError):
+            bound_linear_forest(0, (4, 5))
+
+    @pytest.mark.parametrize(
+        "fn, family, outside",
+        [
+            (mu_S_closed, "CompleteSplit", [(5, 0), (5, 5), (3, -1)]),
+            (mu_S_plus_bounds, "CompleteSplitPlus", [(5, 0), (5, 4), (3, -1)]),
+            (edge_threshold_S_plus, "CompleteSplitPlus", [(5, 0), (5, 4), (3, -1)]),
+        ],
+    )
+    def test_split_domains_are_the_family_specs(self, fn, family, outside):
+        # the (n, k) domain is the family spec's, checked by its validate()
+        for n, k in outside:
+            with pytest.raises(ParameterError, match=f"{family} requires"):
+                fn(n, k)
 
     def test_edge_threshold(self):
         # threshold equals the edge count of the one-edge augmentation
