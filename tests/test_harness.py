@@ -625,6 +625,22 @@ class TestOtherCampaigns:
     def test_campaign_registry(self):
         assert "conjecture_a" in CAMPAIGNS and "lemma_suite" in CAMPAIGNS
 
+    @pytest.mark.parametrize(
+        "campaign, n_min, digest",
+        [
+            ("theorem_path", 3, "44a7186651dd694071ecc424ace4575324f30e3972579bb7304836bd85273117"),
+            ("theorem_brooms", 3, "cfd40a211bd36b1851755d5ff03bdcd49b0e071f681af41c571689b3861b40fa"),
+            ("genbroom_explore", 3, "7b4742112a9e7bd9b8041878b1f24338fadb8118e826f362d297e978721f0f18"),
+            ("conjecture_b", 4, "6ff0525b7d753d68c1fdbc8d2b847c29a42d9ad179bef886c5fd2ea8b5e7000b"),
+            ("broom_turan", 1, "7a6ce7f704821d2c46deb9145420b5d526891b67bfd8758f568f16abe447a8e6"),
+        ],
+    )
+    def test_pinned_exhaustive_reports(self, campaign, n_min, digest):
+        # k = 2, every graph from the smallest valid n to 7: sha256 of the
+        # JSON report with its timings emptied
+        report = run_campaign(small_spec(campaign=campaign, n_min=n_min, n_max=7))
+        assert lemma_digest(report) == digest
+
 
 class TestCampaignsAgreeWithCheckLemma:
     # the campaigns take the lemmas' hypotheses and trees from turan, so on
