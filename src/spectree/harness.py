@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import time
+from collections import namedtuple
 from dataclasses import dataclass, asdict
 from functools import partial
 
@@ -54,16 +55,46 @@ SCHEMA_VERSION = 1
 # both errors are far below this.
 FLOAT_MARGIN = 1e-9
 
-CAMPAIGNS = (
-    "conjecture_a",
-    "conjecture_b",
-    "theorem_path",
-    "theorem_spider",
-    "theorem_brooms",
-    "broom_turan",
-    "lemma_suite",
-    "genbroom_explore",
-)
+
+def _trees(order):
+    return [(encode_graph6(t), t) for t in all_trees_of_order(order)]
+
+
+# each threshold family: its name, the smallest n minus k, and its
+# exceptional-graph recogniser, which a campaign reads from this module
+_FAMILIES = {
+    CompleteSplit: ("S_{n,k}", 1, "is_complete_split"),
+    CompleteSplitPlus: ("S+_{n,k}", 2, "is_complete_split_plus"),
+}
+
+
+# one row per campaign: its threshold `family`, a key of _FAMILIES or None;
+# its `conclusion`, which is k -> the (name, tree) pairs to contain, or the
+# `turan` lemma whose hypothesis and trees it checks, or None for
+# lemma_suite's own verdict; and whether it is `advisory`, never recording
+# a violation
+_Campaign = namedtuple("_Campaign", "family conclusion advisory", defaults=(False,))
+_TABLE = {
+    "conjecture_a": _Campaign(CompleteSplit, lambda k: _trees(2 * k + 2)),
+    "conjecture_b": _Campaign(CompleteSplitPlus, lambda k: _trees(2 * k + 3)),
+    "theorem_path": _Campaign(CompleteSplit, lambda k: [("path", build_family(Path(2 * k + 2)))]),
+    "theorem_spider": _Campaign(CompleteSplit, lambda k: [
+        (f"spider_{'_'.join(map(str, sp.legs))}", build_family(sp))
+        for sp in filter(is_theorem_spider, map(Spider, partitions(2 * k + 2)))
+    ]),
+    "theorem_brooms": _Campaign(CompleteSplit, lambda k: [
+        (f"broom_{s}_{2 * k + 2 - s}", build_family(Broom(s, 2 * k + 2 - s)))
+        for s in range(1, 2 * k + 2)
+    ]),
+    "broom_turan": _Campaign(None, "broom_turan"),
+    "lemma_suite": _Campaign(None, None),
+    "genbroom_explore": _Campaign(CompleteSplit, lambda k: [
+        (f"genbroom_{s}_{t}_{ell}", build_family(GeneralizedBroom(s, t, ell)))
+        for s, t in ((1, 2 * k + 2), (2, 2 * k + 1))
+        for ell in range(2, t)
+    ], advisory=True),
+}
+CAMPAIGNS = tuple(_TABLE)
 
 
 @dataclass(frozen=True)
@@ -93,9 +124,10 @@ class CampaignSpec:
             raise ParameterError(f"bad n range [{self.n_min}, {self.n_max}]")
         if self.budget < 1:
             raise ParameterError(f"search budget must be >= 1, got {self.budget}")
-        if self.campaign not in ("lemma_suite", "broom_turan"):
-            family = "S+_{n,k}" if self.campaign == "conjecture_b" else "S_{n,k}"
-            smallest = self.k + 1 + (self.campaign == "conjecture_b")
+        family = _TABLE[self.campaign].family
+        if family is not None:
+            family, above_k, _ = _FAMILIES[family]
+            smallest = self.k + above_k
             if self.n_min < smallest:
                 raise ParameterError(
                     f"{self.campaign} compares with mu({family}), which needs "
@@ -164,35 +196,10 @@ def _source(spec, n):
 def _patterns(spec):
     """The containment conclusion patterns of a campaign.  They depend on
     the campaign and k only, so run_campaign builds them once."""
-    k = spec.k
-    c = spec.campaign
-    if c in ("conjecture_a", "conjecture_b"):
-        order = 2 * k + 2 if c == "conjecture_a" else 2 * k + 3
-        return [(encode_graph6(t), t) for t in all_trees_of_order(order)]
-    if c == "theorem_path":
-        return [("path", build_family(Path(2 * k + 2)))]
-    if c == "theorem_brooms":
-        return [
-            (f"broom_{s}_{t}", build_family(Broom(s, t)))
-            for s in range(1, 2 * k + 2)
-            for t in (2 * k + 2 - s,)
-        ]
-    if c == "theorem_spider":
-        spiders = filter(is_theorem_spider, map(Spider, partitions(2 * k + 2)))
-        return [(f"spider_{'_'.join(map(str, sp.legs))}", build_family(sp)) for sp in spiders]
-    if c == "broom_turan":
-        return lemma_trees("broom_turan", k)
-    if c == "genbroom_explore":
-        out = []
-        order = 2 * k + 3
-        for s in (1, 2):
-            t = order - s
-            for ell in range(2, t):
-                out.append(
-                    (f"genbroom_{s}_{t}_{ell}", build_family(GeneralizedBroom(s, t, ell)))
-                )
-        return out
-    return []
+    conclusion = _TABLE[spec.campaign].conclusion
+    if isinstance(conclusion, str):
+        return lemma_trees(conclusion, spec.k)
+    return conclusion(spec.k) if conclusion else []
 
 
 def run_campaign(spec):
@@ -207,10 +214,9 @@ def run_campaign(spec):
     per_n_violations = {}
     for n in range(spec.n_min, spec.n_max + 1):
         keys, graphs, parents = _source(spec, n)
-        if spec.campaign == "broom_turan":
-            mus = [None] * len(graphs)
-        else:
-            mus = [res.mu for res in spectral_radii(graphs)]
+        # a campaign that checks a turan lemma reads no mu
+        lemma = isinstance(_TABLE[spec.campaign].conclusion, str)
+        mus = [None] * len(graphs) if lemma else [res.mu for res in spectral_radii(graphs)]
         check = _checker(spec, n, facts)
         rows = list(map(check, range(len(graphs)), keys, graphs, parents, mus))
         rows.sort(key=lambda v: (v["key"], v["index"]))
@@ -352,7 +358,7 @@ def _facts(spec):
     """The campaign's `_Inherited` memo: the missing pattern set for the
     containment campaigns; for lemma_suite the exact longest-path sum and
     the missing three-leg spiders for t = 4 and 5."""
-    if spec.campaign == "lemma_suite":
+    if _TABLE[spec.campaign].conclusion is None:
         spiders = partial(lemma_trees, "spider3_erdos_sos")
         rules = {t: partial(_absent, spiders(t), spec.budget) for t in (4, 5)}
         rules["p_sum"] = _path_sum
@@ -363,46 +369,37 @@ def _facts(spec):
 
 def _checker(spec, n, facts):
     """The verdict function (index, key, graph, parent, mu) -> row for an
-    order-n graph, with the threshold, the exceptional-graph test and the
-    campaign's `_Inherited` facts bound."""
+    order-n graph, with the campaign's hypothesis test (its threshold and
+    exceptional graph, or its lemma's) and `_Inherited` facts bound."""
     k = spec.k
-    c = spec.campaign
-    if c == "lemma_suite":
+    row = _TABLE[spec.campaign]
+    if row.conclusion is None:
         return partial(_lemma_suite_verdict, n, facts)
-
-    def missing(index, g, parent):
-        return [name for name, _ in facts.scanned("missing", n, index, g, parent)]
-
-    if c == "broom_turan":
-        def broom_turan(index, key, g, parent, mu):
-            if not lemma_hypothesis("broom_turan", g, k):
-                return _verdict(index, n, key, None, "non_qualifying")
-            return _verdict(index, n, key, None, "qualifying", missing(index, g, parent))
-
-        return broom_turan
-
-    if c == "conjecture_b":
-        family, exceptional = CompleteSplitPlus(n, k), is_complete_split_plus
+    if row.family is None:
+        def classify(g, mu):
+            return "qualifying" if lemma_hypothesis(row.conclusion, g, k) else "non_qualifying"
     else:
-        family, exceptional = CompleteSplit(n, k), is_complete_split
-    theta = LargestRoot(charpoly(split_quotient(family)))
-    margin = FLOAT_MARGIN * max(1.0, theta.value)
-    advisory = c == "genbroom_explore"
+        exceptional = globals()[_FAMILIES[row.family][2]]
+        theta = LargestRoot(charpoly(split_quotient(row.family(n, k))))
+        margin = FLOAT_MARGIN * max(1.0, theta.value)
 
-    def mu_campaign(index, key, g, parent, mu):
-        if abs(mu - theta.value) > margin:
-            qualifies = mu > theta.value
-        elif exceptional(g, k):
-            return _verdict(index, n, key, mu, "excluded_exceptional")
-        else:
-            qualifies = theta.compare(g) >= 0
-        if qualifies:
-            return _verdict(
-                index, n, key, mu, "qualifying", missing(index, g, parent), advisory
-            )
-        return _verdict(index, n, key, mu, "non_qualifying")
+        def classify(g, mu):
+            if abs(mu - theta.value) > margin:
+                qualifies = mu > theta.value
+            elif exceptional(g, k):
+                return "excluded_exceptional"
+            else:
+                qualifies = theta.compare(g) >= 0
+            return "qualifying" if qualifies else "non_qualifying"
 
-    return mu_campaign
+    def check(index, key, g, parent, mu):
+        classification = classify(g, mu)
+        if classification != "qualifying":
+            return _verdict(index, n, key, mu, classification)
+        missing = [name for name, _ in facts.scanned("missing", n, index, g, parent)]
+        return _verdict(index, n, key, mu, classification, missing, row.advisory)
+
+    return check
 
 
 def _lemma_suite_verdict(n, facts, index, key, g, parent, mu):
