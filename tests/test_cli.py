@@ -19,7 +19,7 @@ from spectree.graphs import (
     decode_graph6,
     encode_graph6,
 )
-from spectree.harness import Source
+from spectree.harness import CAMPAIGNS, Source
 
 
 class TestParseFamily:
@@ -105,6 +105,20 @@ class TestExitCodes:
         assert code == 0
         data = json.loads(out.read_text())
         assert data["totals"]["violations"] == 0
+
+    @pytest.mark.parametrize("campaign", CAMPAIGNS)
+    def test_verify_every_campaign(self, capsys, tmp_path, campaign):
+        # from the smallest n for k = 2 to 6: mu(S_{n,2}) needs n >= 3,
+        # mu(S+_{n,2}) needs n >= 4, and the two campaigns without a
+        # threshold start at 1; most campaigns have violations by n = 6
+        n = {"conjecture_b": 4, "lemma_suite": 1, "broom_turan": 1}.get(campaign, 3)
+        out = tmp_path / "r.json"
+        argv = ["verify", campaign, "--k", "2", "--n", str(n), "--n-max", "6"]
+        code = main(argv + ["--out", str(out)])
+        data = json.loads(out.read_text())
+        assert code == (1 if data["violations"] else 0)
+        assert data["spec"]["campaign"] == campaign
+        assert (data["spec"]["k"], data["spec"]["n_min"], data["spec"]["n_max"]) == (2, n, 6)
 
     @pytest.mark.parametrize(
         "line, named",

@@ -171,6 +171,19 @@ class TestOperations:
         with pytest.raises(ParameterError):
             neighborhood_shells(build_family(Path(3)), 5)
 
+    @pytest.mark.parametrize("perm", [[0, 0, 1], [0, 1], [0, 1, 2, 3], [1, 2, 3]])
+    def test_relabel_needs_a_permutation(self, perm):
+        with pytest.raises(ParameterError, match="permutation"):
+            build_family(Path(3)).relabel(perm)
+
+    @pytest.mark.parametrize("vertices", [[-1, 2], [5], [0, 3]])
+    def test_subgraph_vertices_out_of_range(self, vertices):
+        with pytest.raises(ParameterError, match="outside"):
+            build_family(Path(3)).subgraph(vertices)
+
+    def test_subgraph_of_no_vertices(self):
+        assert build_family(Path(3)).subgraph([]) == (Graph(0, (), 0), [])
+
 
 class TestGraph6:
     def test_fixtures(self):
@@ -290,6 +303,11 @@ class TestEdgeList:
     def test_bad_header(self):
         with pytest.raises(ParameterError):
             parse_edge_list("3 5\n0 1\n")
+
+    @pytest.mark.parametrize("line", ["0", "0 1 2"])
+    def test_edge_line_not_a_pair(self, line):
+        with pytest.raises(ParameterError, match=repr(line)):
+            parse_edge_list(f"3 1\n{line}\n")
 
 
 class TestCanonical:
