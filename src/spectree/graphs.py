@@ -99,7 +99,7 @@ class Graph:
     def relabel(self, perm):
         """New graph with vertex v renamed to perm[v]."""
         if sorted(perm) != list(range(self.n)):
-            raise ParameterError(f"relabel needs a permutation of range({self.n}), got {perm!r}")
+            raise ParameterError(f"relabel needs a permutation of range({self.n})")
         rows = [0] * self.n
         for u, v in self.edges():
             a, b = perm[u], perm[v]
@@ -114,7 +114,7 @@ class Graph:
         """
         vs = sorted(set(vertices))
         if vs and not (0 <= vs[0] and vs[-1] < self.n):
-            raise ParameterError(f"subgraph vertices {vs} outside 0..{self.n - 1}")
+            raise ParameterError(f"subgraph vertex ids {vs} outside 0..{self.n - 1}")
         index = {v: i for i, v in enumerate(vs)}
         rows = [0] * len(vs)
         e = 0
@@ -474,7 +474,7 @@ def parse_edge_list(text):
         raise ParameterError(f"malformed edge-list input: {exc}") from exc
     for ln, edge in zip(lines[1:], edges):
         if len(edge) != 2:
-            raise ParameterError(f"edge-list line {ln.strip()!r} is not two vertex ids")
+            raise ParameterError(f"edge-list line {ln.strip()!r} needs exactly two vertex ids")
     if len(edges) != m:
         raise ParameterError(f"header promises {m} edges, found {len(edges)}")
     return Graph.from_edges(n, edges)

@@ -68,11 +68,10 @@ _FAMILIES = {
 }
 
 
-# one row per campaign: its threshold `family`, a key of _FAMILIES or None;
-# its `conclusion`, which is k -> the (name, tree) pairs to contain, or the
-# `turan` lemma whose hypothesis and trees it checks, or None for
-# lemma_suite's own verdict; and whether it is `advisory`, never recording
-# a violation
+# A campaign's row: its threshold `family` (a key of _FAMILIES, or None);
+# its `conclusion`: k -> the (name, tree) pairs to contain, the `turan`
+# lemma whose hypothesis and trees it checks, or None for lemma_suite's own
+# verdict; and whether it is `advisory`, recording no violation.
 _Campaign = namedtuple("_Campaign", "family conclusion advisory", defaults=(False,))
 _TABLE = {
     "conjecture_a": _Campaign(CompleteSplit, lambda k: _trees(2 * k + 2)),
@@ -124,9 +123,9 @@ class CampaignSpec:
             raise ParameterError(f"bad n range [{self.n_min}, {self.n_max}]")
         if self.budget < 1:
             raise ParameterError(f"search budget must be >= 1, got {self.budget}")
-        family = _TABLE[self.campaign].family
-        if family is not None:
-            family, above_k, _ = _FAMILIES[family]
+        row = _TABLE[self.campaign]
+        if row.family is not None:
+            family, above_k, _ = _FAMILIES[row.family]
             smallest = self.k + above_k
             if self.n_min < smallest:
                 raise ParameterError(
