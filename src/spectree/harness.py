@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import time
-from collections import namedtuple
 from dataclasses import dataclass, asdict
 from functools import partial
 
@@ -68,11 +67,15 @@ _FAMILIES = {
 }
 
 
-# A campaign's row: its threshold `family` (a key of _FAMILIES, or None);
-# its `conclusion`: k -> the (name, tree) pairs to contain, the `turan`
-# lemma whose hypothesis and trees it checks, or None for lemma_suite's own
-# verdict; and whether it is `advisory`, recording no violation.
-_Campaign = namedtuple("_Campaign", "family conclusion advisory", defaults=(False,))
+@dataclass(frozen=True)
+class _Campaign:
+    family: type  # a key of _FAMILIES, or None for no threshold
+    # k -> the (name, tree) pairs to contain; or the `turan` lemma whose
+    # hypothesis and trees to check; or None for lemma_suite's own verdict
+    conclusion: object
+    advisory: bool = False  # never records a violation
+
+
 _TABLE = {
     "conjecture_a": _Campaign(CompleteSplit, lambda k: _trees(2 * k + 2)),
     "conjecture_b": _Campaign(CompleteSplitPlus, lambda k: _trees(2 * k + 3)),
