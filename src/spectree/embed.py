@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 
 from .errors import (
     BudgetExceededError,
@@ -84,9 +84,18 @@ def contains_tree(host, pattern, budget=DEFAULT_BUDGET):
     the search runs when it fails, so every None comes from the search.
     Raises BudgetExceededError when the visit budget runs out, which is a
     distinct outcome from "not contained".
+
+    The search tries one host vertex per twin class, and a child of a
+    pattern vertex whose rooted subtree is isomorphic to an earlier
+    sibling's takes a host vertex after that sibling's in their shared
+    candidate list.  Any embedding can be re-sorted within a sibling class
+    and moved onto earlier twins, and either step only makes it
+    lexicographically smaller, so the lexicographically first embedding
+    survives both prunings: the result is the unpruned search's, and only
+    the budget spent falls (see `_embed_tree`).
     """
     pat = as_graph(pattern)
-    order, parents, pat_deg = _pattern_order(pat)
+    order, parents, pat_deg, sibs = _pattern_order(pat)
     left = _Budget(budget)
     if pat.n > host.n:
         return None
@@ -94,7 +103,7 @@ def contains_tree(host, pattern, budget=DEFAULT_BUDGET):
     emb = _certificate(host, pat)
     if emb is not None:
         return emb
-    image = _embed_tree(host, parents, pat_deg, left)
+    image = _embed_tree(host, parents, pat_deg, sibs, left)
     if image is None:
         return None
     assignment = [0] * pat.n
@@ -122,10 +131,10 @@ def tree_test(host, budget=DEFAULT_BUDGET):
             return False
         if _fit(splits, profile) is not None:
             return True
-        _, parents, pat_deg = _pattern_order(pat)
+        _, parents, pat_deg, sibs = _pattern_order(pat)
         left = _Budget(budget)
         left.spend()  # the certificate's unit
-        return _embed_tree(host, parents, pat_deg, left) is not None
+        return _embed_tree(host, parents, pat_deg, sibs, left) is not None
 
     return contains
 
@@ -133,9 +142,10 @@ def tree_test(host, budget=DEFAULT_BUDGET):
 @lru_cache(maxsize=1024)
 def _pattern_order(pat):
     """BFS order from the highest-degree vertex, children by decreasing
-    degree; parents[i] is the index (in the order) of the parent and
-    pat_deg[i] the degree of order[i].  Cached per pattern graph, which is
-    immutable and hashable; raises ParameterError for a non-tree."""
+    degree; parents[i] is the index (in the order) of the parent,
+    pat_deg[i] the degree of order[i] and sibs[i] its `_siblings` entry.
+    Cached per pattern graph, which is immutable and hashable; raises
+    ParameterError for a non-tree."""
     if not is_tree(pat):
         raise ParameterError("pattern is not a tree")
     root = max(range(pat.n), key=pat.degree)
@@ -151,14 +161,52 @@ def _pattern_order(pat):
                 parents.append(head)
                 order.append(w)
         head += 1
-    return tuple(order), tuple(parents), tuple(pat.degree(v) for v in order)
+    degrees = tuple(pat.degree(v) for v in order)
+    return tuple(order), tuple(parents), degrees, _siblings(parents)
 
 
-def _embed_tree(host, parents, pat_deg, budget, roots=None):
+def _siblings(parents):
+    """sibs[i]: the last position before i with the same parent and an
+    isomorphic rooted subtree, or -1.  Subtrees are coded bottom-up, each
+    by the sorted codes of its children (AHU), numbered on first sight."""
+    n = len(parents)
+    kids = [[] for _ in range(n)]
+    for i in range(1, n):
+        kids[parents[i]].append(i)
+    codes = {}
+    code = [0] * n
+    for i in range(n - 1, -1, -1):
+        key = tuple(sorted(code[c] for c in kids[i]))
+        if key not in codes:
+            codes[key] = len(codes)
+        code[i] = codes[key]
+    sibs = [-1] * n
+    last = {}
+    for i in range(1, n):
+        key = parents[i], code[i]
+        sibs[i] = last.get(key, -1)
+        last[key] = i
+    return tuple(sibs)
+
+
+def _embed_tree(host, parents, pat_deg, sibs, budget, roots=None):
     """Backtracking search for a tree laid out with parents[i] < i.
 
     Returns the host images of the pattern positions, or None.  The root
-    tries `roots` when given, else every host vertex."""
+    tries `roots` when given, else every host vertex.  Every candidate
+    list is in one fixed order (decreasing host degree, then id; `roots` as
+    given), so the search meets embeddings in lexicographic order.  Two
+    prunings keep the lexicographically first embedding E and so return
+    exactly what the unpruned search returns:
+    - twins: of the candidates with one open or closed neighbourhood,
+      only the first usable one is tried.  Moving E's image onto an
+      earlier twin, or swapping the two when E uses both, gives a smaller
+      embedding, so E never skips one.
+    - siblings: position i with sibs[i] = j >= 0 shares j's parent, so its
+      candidate list too, and scans it from one past the slot j took.
+      Swapping the isomorphic subtrees of i and j maps E to an embedding
+      that differs first at j, and it is smaller there unless E already
+      gives i a later slot than j."""
     n = len(parents)
     image = [0] * n
     rows = host.rows
@@ -182,11 +230,15 @@ def _embed_tree(host, parents, pat_deg, budget, roots=None):
             cands = nbrs_by_deg.get(p)
             if cands is None:
                 cands = nbrs_by_deg[p] = sorted(bits(rows[p]), key=by_deg, reverse=True)
+        # sibling pruning: an isomorphic later sibling scans the shared
+        # list from one past its earlier sibling's image
+        j = sibs[i]
+        start = cands.index(image[j]) + 1 if j >= 0 else 0
         # twin pruning: vertices with identical neighborhoods (open or
         # closed) are interchangeable, so try only one per twin class
         open_sigs = set()
         closed_sigs = set()
-        for h in cands:
+        for h in islice(cands, start, None):
             if used >> h & 1 or deg[h] < need:
                 continue
             row = rows[h]
@@ -228,7 +280,7 @@ def _split_profile(pat):
     matching edges, falling to 0 at the minimum vertex cover; rest is V - C,
     the m matched pairs first.  Leaf-to-root DP over fronts c -> (m, mask of
     C) for three states: in C, unmatched, matched to a child."""
-    order, parents, _ = _pattern_order(pat)
+    order, parents, _, _ = _pattern_order(pat)
     cut = [{1: (0, 1 << v)} for v in order]
     free, pair = [{0: (0, 0)}] * pat.n, [{}] * pat.n
     for j in range(pat.n - 1, 0, -1):
@@ -363,7 +415,8 @@ def find_linear_forest(host, lengths, anchor_set=None, budget=DEFAULT_BUDGET):
         first = len(parents)
         parents += [0, *range(first, first + lengths[i] - 1)]
         pat_deg += [2] * (lengths[i] - 1) + [1]
-    image = _embed_tree(augmented, parents, pat_deg, left, roots=[apex])
+    # equal legs are isomorphic siblings under the apex
+    image = _embed_tree(augmented, parents, pat_deg, _siblings(parents), left, roots=[apex])
     if image is None:
         return None
     paths = [None] * len(lengths)

@@ -10,7 +10,7 @@ import numpy as np
 
 from spectree.embed import LONGEST_PATH_CAP, Embedding, PathStats, as_graph
 from spectree.errors import CapExceededError, ParameterError
-from spectree.graphs import CompleteSplit, CompleteSplitPlus, Graph, build_family
+from spectree.graphs import CompleteSplit, CompleteSplitPlus, Graph, bits, build_family
 
 
 def brute_force_contains(host, pattern):
@@ -436,3 +436,48 @@ def frozen_perturb_extremal(base, add=0, remove=0, seed=0):
     for u, v in rng.sample(non_edges, add):
         g = g.with_edge(u, v)
     return g
+
+
+def frozen_embed_tree(host, parents, pat_deg, budget, roots=None):
+    """The tree search as it stood before sibling-symmetry pruning, kept
+    frozen as an oracle: backtracking over a layout with parents[i] < i,
+    candidates in decreasing host degree (ties by id), one candidate per
+    twin class at each position, budget.spend() once per node.  Returns the
+    host images of the pattern positions, or None."""
+    n = len(parents)
+    image = [0] * n
+    rows = host.rows
+    deg = host.degrees()
+    by_deg = deg.__getitem__
+    if roots is None:
+        roots = sorted(range(host.n), key=by_deg, reverse=True)
+    nbrs_by_deg = {}
+
+    def rec(i, used):
+        budget.spend()
+        if i == n:
+            return True
+        need = pat_deg[i]
+        if parents[i] is None:
+            cands = roots
+        else:
+            p = image[parents[i]]
+            cands = nbrs_by_deg.get(p)
+            if cands is None:
+                cands = nbrs_by_deg[p] = sorted(bits(rows[p]), key=by_deg, reverse=True)
+        open_sigs = set()
+        closed_sigs = set()
+        for h in cands:
+            if used >> h & 1 or deg[h] < need:
+                continue
+            row = rows[h]
+            if row in open_sigs or row | 1 << h in closed_sigs:
+                continue
+            open_sigs.add(row)
+            closed_sigs.add(row | 1 << h)
+            image[i] = h
+            if rec(i + 1, used | 1 << h):
+                return True
+        return False
+
+    return image if rec(0, 0) else None

@@ -28,12 +28,13 @@ from spectree.graphs import (
     encode_graph6,
 )
 from spectree import embed, harness
-from spectree.enumeration import all_graphs, graph_order, perturb_extremal
+from spectree.enumeration import all_graphs, graph_order, perturb_extremal, random_graph
 from spectree.harness import CampaignSpec, Source, run_campaign
 from spectree.embed import (
     _certificate,
     _split_profile,
     all_trees_of_order,
+    as_graph,
     contains_tree,
     find_linear_forest,
     fits_in_S,
@@ -50,6 +51,7 @@ from oracles import (
     brute_force_linear_forest,
     brute_force_longest_paths,
     brute_force_split_profile,
+    frozen_embed_tree,
     frozen_longest_path_stats,
     labeled_tree_from_pruefer,
 )
@@ -328,6 +330,111 @@ class TestTreeTest:
         with pytest.raises(ParameterError):
             tree_test(host)(build_family(Complete(3)))
         assert tree_test(build_family(Path(3)))(Path(4)) is False
+
+
+def frozen_search(host, parents, pat_deg, sibs, budget, roots=None):
+    """The frozen search behind `_embed_tree`'s signature; sibs is unused."""
+    return frozen_embed_tree(host, parents, pat_deg, budget, roots)
+
+
+class TestSiblingPruning:
+    # isomorphic sibling subtrees are tried in one order only; the
+    # lexicographically first embedding survives, so every result is the
+    # unpruned search's and only the budget spent falls
+    @staticmethod
+    def host():
+        return build_family(CompleteSplitPlus(24, 3)).with_edge(4, 5)
+
+    @pytest.mark.parametrize(
+        "pattern, least",
+        [
+            (Spider(2, 2, 2, 2), 208),  # 904 without sibling pruning
+            (decode_graph6("HCH?_CL"), 365),  # 524
+            (decode_graph6("HKC_GOB"), 236),  # P_9, rooted off-centre: no isomorphic siblings
+        ],
+    )
+    def test_least_budget_on_split_plus_an_edge(self, pattern, least):
+        host = self.host()
+        emb = contains_tree(host, pattern, budget=least)
+        assert emb is not None and is_valid_embedding(host, as_graph(pattern), emb)
+        assert tree_test(host, least)(pattern) is True
+        with pytest.raises(BudgetExceededError):
+            contains_tree(host, pattern, budget=least - 1)
+        with pytest.raises(BudgetExceededError):
+            tree_test(host, least - 1)(pattern)
+
+    @staticmethod
+    def against_frozen(monkeypatch, calls):
+        """The results of calls() and the search nodes they spent, with the
+        search as it is and with the frozen search patched in."""
+        spent = []
+
+        def counted(search):
+            def wrapper(host, parents, pat_deg, sibs, budget, roots=None):
+                left = budget.left
+                try:
+                    return search(host, parents, pat_deg, sibs, budget, roots)
+                finally:
+                    spent[-1] += left - budget.left
+
+            return wrapper
+
+        runs = []
+        for search in (embed._embed_tree, frozen_search):
+            spent.append(0)
+            with monkeypatch.context() as m:
+                m.setattr(embed, "_embed_tree", counted(search))
+                runs.append(calls())
+        return runs, spent
+
+    def test_small_graphs_match_frozen_search(self, monkeypatch):
+        trees = [tree for t in range(2, 8) for tree in all_trees_of_order(t)]
+        hosts = [g for n in range(1, 8) for g in all_graphs(n)]
+        (now, before), (spent, spent_before) = self.against_frozen(
+            monkeypatch, lambda: [contains_tree(h, t) for h in hosts for t in trees]
+        )
+        assert len(now) == 1252 * 24
+        assert now == before
+        assert spent < spent_before
+
+    def test_random_graphs_match_frozen_search(self, monkeypatch):
+        trees = all_trees_of_order(9)[::3]
+        hosts = [random_graph(14, p=0.3, seed=seed) for seed in range(300)]
+        (now, before), (spent, spent_before) = self.against_frozen(
+            monkeypatch, lambda: [contains_tree(h, t) for h in hosts for t in trees]
+        )
+        assert now == before
+        assert any(r is not None for r in now) and any(r is None for r in now)
+        assert spent < spent_before
+
+        # equal legs are the apex's isomorphic children; on these hosts the
+        # pruning saves nothing on the first four forests, only on the last two
+        forests = [[2, 2, 2], [3, 3], [3, 2, 2, 1], [4, 4, 1], [3, 3, 3, 3], [4, 4, 4]]
+        (now, before), (spent, spent_before) = self.against_frozen(
+            monkeypatch,
+            lambda: [
+                find_linear_forest(h, lengths, range(0, 14, 2))
+                for h in hosts
+                for lengths in forests
+            ],
+        )
+        assert now == before
+        assert any(r is not None for r in now) and any(r is None for r in now)
+        assert spent < spent_before
+
+    def test_perturbed_split_plus_matches_frozen_search(self, monkeypatch):
+        trees = all_trees_of_order(9)
+        assert len(trees) == 47
+        hosts = [
+            perturb_extremal(CompleteSplitPlus(n, 3), 1, 1, seed)
+            for n in range(20, 30)
+            for seed in range(6)
+        ]
+        (now, before), (spent, spent_before) = self.against_frozen(
+            monkeypatch, lambda: [contains_tree(h, t) for h in hosts for t in trees]
+        )
+        assert now == before
+        assert spent < spent_before
 
 
 class TestLinearForest:
