@@ -80,10 +80,11 @@ class _Budget:
 def contains_tree(host, pattern, budget=DEFAULT_BUDGET):
     """Exact tree-subgraph search.  Returns an Embedding or None.
 
-    The positive-only split certificate is tried first, for one budget unit;
-    the search runs when it fails, so every None comes from the search.
-    Raises BudgetExceededError when the visit budget runs out, which is a
-    distinct outcome from "not contained".
+    The decision is `_find`'s, shared with `tree_test`, and the witness
+    the split certificate's or the search's.  Raises ParameterError for a
+    non-tree, then for a budget below 1; BudgetExceededError when the
+    budget runs out, a distinct outcome from "not contained"; and
+    CapExceededError past about 990 pattern vertices (see `_embed_tree`).
 
     The search tries one host vertex per twin class, and a child of a
     pattern vertex whose rooted subtree is isomorphic to an earlier
@@ -95,19 +96,15 @@ def contains_tree(host, pattern, budget=DEFAULT_BUDGET):
     the budget spent falls (see `_embed_tree`).
     """
     pat = as_graph(pattern)
-    order, parents, pat_deg, sibs = _pattern_order(pat)
-    left = _Budget(budget)
-    if pat.n > host.n:
+    _pattern_order(pat)  # raises ParameterError for a non-tree
+    _Budget(budget)
+    found = _find(host, _Splits(host), pat, budget)
+    if found is None:
         return None
-    left.spend()
-    emb = _certificate(host, pat)
-    if emb is not None:
-        return emb
-    image = _embed_tree(host, parents, pat_deg, sibs, left)
-    if image is None:
-        return None
+    if len(found) == 4:  # the certificate's (C, rest, X, Y)
+        found = found[0] + found[1], found[2] + found[3]
     assignment = [0] * pat.n
-    for v, h in zip(order, image):
+    for v, h in zip(*found):
         assignment[v] = h
     return Embedding(tuple(assignment))
 
@@ -116,27 +113,35 @@ def tree_test(host, budget=DEFAULT_BUDGET):
     """The containment test pattern -> bool of one host, for a caller that
     asks about many trees and needs no embedding.
 
-    Each pattern gets the verdict, the budget and the errors of
-    `contains_tree(host, pattern, budget) is not None`: a fresh budget, one
-    unit for the split certificate and the rest for the search.  The
-    certificate compares counts only, against the host's split sequence,
-    whose entries are built on first use and shared by all patterns."""
-    _Budget(budget)  # a budget below 1 fails here, before any pattern
+    The decision is `_find`'s, shared with `contains_tree`, and a budget
+    below 1 fails here, before any pattern.  The certificate compares
+    counts only, against the host's split sequence, whose entries are
+    built on first use and shared by all patterns."""
+    _Budget(budget)
     splits = _Splits(host)
 
     def contains(pattern):
-        pat = as_graph(pattern)
-        profile = _split_profile(pat)  # raises ParameterError for a non-tree
-        if pat.n > host.n:
-            return False
-        if _fit(splits, profile) is not None:
-            return True
-        _, parents, pat_deg, sibs = _pattern_order(pat)
-        left = _Budget(budget)
-        left.spend()  # the certificate's unit
-        return _embed_tree(host, parents, pat_deg, sibs, left) is not None
+        return _find(host, splits, as_graph(pattern), budget) is not None
 
     return contains
+
+
+def _find(host, splits, pat, budget):
+    """Whether host, with split sequence `splits`, contains the tree pat:
+    None when pat is larger, else the certificate's fit (C, rest, X, Y) for
+    one unit of a fresh budget, else the search's (order, image) or None.
+    Raises ParameterError for a non-tree."""
+    if pat.n > host.n:
+        _pattern_order(pat)  # a non-tree raises all the same
+        return None
+    fit = _fit(splits, _split_profile(pat))
+    if fit is not None:
+        return fit
+    order, parents, pat_deg, sibs = _pattern_order(pat)
+    left = _Budget(budget)
+    left.spend()  # the certificate's unit
+    image = _embed_tree(host, parents, pat_deg, sibs, left)
+    return None if image is None else (order, image)
 
 
 @lru_cache(maxsize=1024)
@@ -206,7 +211,9 @@ def _embed_tree(host, parents, pat_deg, sibs, budget, roots=None):
       candidate list too, and scans it from one past the slot j took.
       Swapping the isomorphic subtrees of i and j maps E to an embedding
       that differs first at j, and it is smaller there unless E already
-      gives i a later slot than j."""
+      gives i a later slot than j.
+    `rec` takes a stack frame per position: past the recursion limit (about
+    990 positions less the caller's depth) the search ends in CapExceededError."""
     n = len(parents)
     image = [0] * n
     rows = host.rows
@@ -251,7 +258,10 @@ def _embed_tree(host, parents, pat_deg, sibs, budget, roots=None):
                 return True
         return False
 
-    return image if rec(0, 0) else None
+    try:
+        return image if rec(0, 0) else None
+    except RecursionError:
+        raise CapExceededError(f"tree search of {n} positions passes the recursion limit") from None
 
 
 # -- split profile and certificate ------------------------------------------
@@ -353,16 +363,6 @@ def _fit(splits, profile):
     return None
 
 
-def _certificate(host, pat):
-    """Embedding of the tree pat (pat.n <= host.n) read off the split
-    structure, or None."""
-    fit = _fit(_Splits(host), _split_profile(pat))
-    if fit is None:
-        return None
-    cover, rest, xs, ys = fit
-    return Embedding(tuple(h for _, h in sorted(zip(cover + rest, xs + ys))))
-
-
 def min_vertex_cover_tree(g):
     """Minimum vertex cover size of a tree: the m = 0 end of its profile."""
     return _split_profile(g)[-1][0]
@@ -371,12 +371,10 @@ def min_vertex_cover_tree(g):
 def fits_in_S(tree, k):
     """Whether the tree embeds in S_{n,k} for all large n: minimum vertex
     cover, the m = 0 end of the split profile, at most k."""
-    t = as_graph(tree)
-    if not is_tree(t):
-        raise ParameterError("pattern is not a tree")
+    cover = min_vertex_cover_tree(as_graph(tree))  # raises for a non-tree
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
-    return min_vertex_cover_tree(t) <= k
+    return cover <= k
 
 
 # -- linear forests -------------------------------------------------------
@@ -389,7 +387,8 @@ def find_linear_forest(host, lengths, anchor_set=None, budget=DEFAULT_BUDGET):
     Returns a list of vertex lists aligned with `lengths`, each listed from
     its anchored end, or None.  The forest is searched as a spider: an apex
     joined to the anchor set (to every vertex when there is none) is the
-    centre and the paths are its legs, laid out longest first.
+    centre and the paths are its legs, laid out longest first.  Raises
+    CapExceededError past about 990 path vertices (see `_embed_tree`).
     """
     left = _Budget(budget)
     if not lengths or any(t < 1 for t in lengths):

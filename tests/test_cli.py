@@ -66,6 +66,12 @@ class TestExitCodes:
         g6 = encode_graph6(build_family(Path(8)))
         assert main(["contains", g6, "path:5", "--budget", "1"]) == 3
 
+    def test_cap_error_pattern_too_long_for_the_search(self, capsys):
+        assert main(["contains", "path:1200", "path:1100"]) == 3
+        assert capsys.readouterr().err == (
+            "error: tree search of 1100 positions passes the recursion limit\n"
+        )
+
     @pytest.mark.parametrize("budget", ["0", "-1"])
     def test_usage_error_budget_below_one(self, capsys, budget):
         assert main(["contains", "E?~o", "path:3", "--budget", budget]) == 2

@@ -31,7 +31,6 @@ from spectree import embed, harness
 from spectree.enumeration import all_graphs, graph_order, perturb_extremal, random_graph
 from spectree.harness import CampaignSpec, Source, run_campaign
 from spectree.embed import (
-    _certificate,
     _split_profile,
     all_trees_of_order,
     as_graph,
@@ -220,7 +219,11 @@ class TestSplitCertificate:
                 if tree.n > host.n:
                     continue
                 tried += 1
-                cert = _certificate(host, tree)
+                # one budget unit is the certificate's; the search needs more
+                try:
+                    cert = contains_tree(host, tree, budget=1)
+                except BudgetExceededError:
+                    cert = None
                 if cert is not None:
                     fired += 1
                     assert is_valid_embedding(host, tree, cert)
@@ -330,6 +333,29 @@ class TestTreeTest:
         with pytest.raises(ParameterError):
             tree_test(host)(build_family(Complete(3)))
         assert tree_test(build_family(Path(3)))(Path(4)) is False
+
+    def test_pinned_sweep(self):
+        # every contains_tree witness, certificate's and search's, over the
+        # graphs with n <= 7 and perturbations of S+_{n,3}; tree_test agrees
+        small = [tree for t in range(2, 8) for tree in all_trees_of_order(t)]
+        big = all_trees_of_order(9)
+        sweep = [(g, small) for n in range(1, 8) for g in all_graphs(n)]
+        sweep += [
+            (perturb_extremal(CompleteSplitPlus(n, 3), 1, 1, seed), big)
+            for n in range(20, 30)
+            for seed in range(6)
+        ]
+        digest = hashlib.sha256()
+        count = 0
+        for index, (host, trees) in enumerate(sweep):
+            contains = tree_test(host)
+            for tree in trees:
+                e = contains_tree(host, tree)
+                assert contains(tree) == (e is not None)
+                digest.update(f"{index} {None if e is None else e.assignment}\n".encode())
+                count += 1
+        assert count == 32868
+        assert digest.hexdigest().startswith("a8ca37cbe01dd149")
 
 
 def frozen_search(host, parents, pat_deg, sibs, budget, roots=None):
@@ -466,6 +492,14 @@ class TestLinearForest:
 
     def test_total_exceeds_host(self):
         assert find_linear_forest(build_family(Path(4)), [3, 3]) is None
+
+    def test_too_long_for_the_recursion(self):
+        # the search takes one stack frame per position: past the
+        # interpreter's recursion limit it stops with a stated error
+        host = build_family(Path(1200))
+        assert len(find_linear_forest(host, [900])[0]) == 900
+        with pytest.raises(CapExceededError, match="recursion limit"):
+            find_linear_forest(host, [1100])
 
     def test_parameter_checks(self):
         with pytest.raises(ParameterError):
