@@ -18,10 +18,10 @@ from .graphs import (
     FAMILY_TYPES,
     Graph,
     Spider,
+    _read_keys,
     bits,
     build_family,
     canonical_key,
-    decode_graph6,
     twin_classes,
 )
 from .spectral import _column_sums, _local_graph
@@ -531,13 +531,12 @@ def all_trees_of_order(t):
     level = [canonical_key(Graph.from_edges(1, []))]
     for m in range(2, t + 1):
         nxt = set()
-        for key in level:
-            g = decode_graph6(key)
+        for g in _read_keys(level):
             for v, *_ in twin_classes(g.rows, range(g.n)):
                 child = Graph.from_edges(m, g.edges() + [(v, g.n)])
                 nxt.add(canonical_key(child, cap=TREE_CAP))
         level = sorted(nxt)
-    return tuple(decode_graph6(key) for key in level)
+    return _read_keys(level)
 
 
 # -- proof-guided spider embedding ----------------------------------------

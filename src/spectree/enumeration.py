@@ -11,10 +11,10 @@ from .graphs import (
     CompleteSplitPlus,
     Graph,
     _bit_rows,
+    _read_keys,
     _slice_size,
     _stack_keys,
     build_family,
-    decode_graph6,
     encode_graph6,
     twin_classes,
 )
@@ -29,9 +29,10 @@ class _Order:
     """The classes on n vertices: their canonical graph6 keys in sorted
     order, for each class the index, in the order n - 1 lists, of the
     parent whose augmentation first produced it (None at n = 1), and the
-    canonical graph of each class, all as tuples.  The graphs are decoded
-    from the keys once, on first use, so that an order that is only
-    counted (the opt-in n = 9 tier, 274,668 classes) does not hold them."""
+    canonical graph of each class, all as tuples.  The graphs are read
+    from the keys once, on first use, by one `_read_keys` pass over the
+    order, so that an order that is only counted (the opt-in n = 9 tier,
+    274,668 classes) does not hold them."""
 
     __slots__ = ("keys", "parents", "_graphs")
 
@@ -43,7 +44,7 @@ class _Order:
     @property
     def graphs(self):
         if self._graphs is None:
-            self._graphs = tuple(map(decode_graph6, self.keys))
+            self._graphs = _read_keys(self.keys)
         return self._graphs
 
 
@@ -129,7 +130,8 @@ def _child_stacks(n, children):
 def all_graphs(n, connected_only=False):
     """One representative per isomorphism class on n vertices, as a new
     list in deterministic (canonical graph6) order.  The graphs are the
-    enumeration's own immutable objects, decoded once per class.  Orders
+    enumeration's own immutable objects, each read from its class's key
+    once, by the order's `_read_keys` pass (see `_Order`).  Orders
     above EXHAUSTIVE_CAP are reached through `graph_order(n, cap)`."""
     graphs = graph_order(n).graphs
     if connected_only:

@@ -23,6 +23,7 @@ from spectree.graphs import (
     Star,
     _adjacency_stack,
     _ranks_below,
+    _read_keys,
     _refine_color_stack,
     _refine_colors,
     build_family,
@@ -41,6 +42,7 @@ from spectree.graphs import (
     twin_classes,
     write_edge_list,
 )
+from spectree.embed import all_trees_of_order
 from spectree.enumeration import _children, all_graphs, graph_order, perturb_extremal, random_graph
 
 from oracles import (
@@ -293,6 +295,55 @@ class TestGraph6:
         edges = [pairs[b] for b in range(15) if code >> b & 1]
         g = Graph.from_edges(6, edges)
         assert decode_graph6(encode_graph6(g)) == g
+
+    def test_complete_graph_at_the_cap(self):
+        # 0.3-0.5 s on a 2-vCPU Xeon, where setting each edge's bit in its
+        # row ints took 2.9-6.4 s
+        n = graphs.MAX_VERTICES
+        # built from its rows: build_family adds the 12.5 million edges one
+        # by one, which takes longer than the decoding under test
+        g = Graph(n, tuple((1 << n) - 1 ^ 1 << v for v in range(n)), n * (n - 1) // 2)
+        text = encode_graph6(g)
+        start = time.perf_counter()
+        h = decode_graph6(text)
+        assert time.perf_counter() - start < 1.5
+        assert h == g and h.e == g.e
+
+
+def fields(gs):
+    return [(g.n, g.rows, g.e) for g in gs]
+
+
+class TestReadKeys:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_key_to_n8(self, n):
+        keys = graph_order(n).keys
+        assert fields(_read_keys(keys)) == fields(map(decode_graph6, keys))
+
+    @pytest.mark.parametrize("t", range(1, 13))
+    def test_every_tree_level(self, t):
+        keys = [encode_graph6(g) for g in all_trees_of_order(t)]
+        assert fields(_read_keys(keys)) == fields(map(decode_graph6, keys))
+
+    @pytest.mark.parametrize(
+        "keys",
+        # no body digit; one digit of 1 bit; one full digit; 10 bits and
+        # 2 of padding in the second digit
+        [["@"], ["A?", "A_"], ["C?", "CF", "C~"], ["D??", "D?{", "DQo", "D~{"]],
+    )
+    def test_edge_cases(self, keys):
+        assert fields(_read_keys(keys)) == fields(map(decode_graph6, keys))
+
+    @pytest.mark.parametrize(
+        "keys",
+        # another length, another order digit, a long-form order, and a
+        # character that encodes to two bytes
+        [["D?{", "D?"], ["D?{", "D?{?"], ["D?{", "E???"], ["D?{", "C~?"],
+         ["~??~" + "?" * 326], ["D?é"]],
+    )
+    def test_rejects_keys_of_another_shape(self, keys):
+        with pytest.raises(ParameterError):
+            _read_keys(keys)
 
 
 class TestEdgeList:
