@@ -17,6 +17,7 @@ from .graphs import (
     Star,
     build_family,
     canonical_key,
+    canonical_keys,
     decode_graph6,
     disjoint_union,
     encode_graph6,

@@ -21,7 +21,7 @@ from .graphs import (
     _read_keys,
     bits,
     build_family,
-    canonical_key,
+    canonical_keys,
     twin_classes,
 )
 from .spectral import _column_sums, _local_graph
@@ -521,21 +521,22 @@ def all_trees_of_order(t):
     """All pairwise non-isomorphic free trees on t vertices, each labelled
     canonically and listed in canonical-key order, so encode_graph6(tree)
     is its identity.  Generated by leaf augmentation deduplicated by
-    canonical_key; each level is the sorted set of keys.  A leaf hung on
+    canonical key: each level's children are keyed by one canonical_keys
+    call, and the level is the sorted set of their keys.  A leaf hung on
     one vertex of a twin class gives the same tree as on any other, so
     each parent gets one child per twin class.  Cached per t."""
     if t < 1:
         raise ParameterError(f"t must be >= 1, got {t}")
     if t > TREE_CAP:
         raise CapExceededError(f"tree generation supports t <= {TREE_CAP}, got {t}")
-    level = [canonical_key(Graph.from_edges(1, []))]
+    level = ["@"]  # the graph6 key of the one tree on one vertex
     for m in range(2, t + 1):
-        nxt = set()
-        for g in _read_keys(level):
-            for v, *_ in twin_classes(g.rows, range(g.n)):
-                child = Graph.from_edges(m, g.edges() + [(v, g.n)])
-                nxt.add(canonical_key(child, cap=TREE_CAP))
-        level = sorted(nxt)
+        children = [
+            Graph.from_edges(m, g.edges() + [(v, g.n)])
+            for g in _read_keys(level)
+            for v, *_ in twin_classes(g.rows, range(g.n))
+        ]
+        level = sorted(set(canonical_keys(children, cap=TREE_CAP)))
     return _read_keys(level)
 
 

@@ -11,6 +11,7 @@ import binascii
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import getitem
 
 from .errors import CapExceededError, Graph6Error, ParameterError
@@ -594,7 +595,11 @@ def _graph_stacks(graphs):
 # -- canonical form --------------------------------------------------------
 
 CANONICAL_CAP = 10
-_BITS = [tuple(bits(m)) for m in range(1 << CANONICAL_CAP)]
+# The keyer's float arithmetic is exact below 2^53.  The refinement's
+# signature codes, below (n - 1)(n + 1)^n, stay there up to n = 12, so no
+# cap reaches past it; the graph6 codes, of n(n - 1)/2 bits, up to n = 10.
+_REFINE_EXACT = 12
+_CODES_EXACT = 10
 
 
 def twin_classes(rows, vertices):
@@ -614,44 +619,28 @@ def twin_classes(rows, vertices):
     return classes
 
 
-def _refine_colors(g):
-    """Stable 1-WL coloring.  Returns per-vertex integer color ranks whose
-    sorted order is isomorphism-invariant.  A signature is a vertex's color
-    followed by its neighbours' colors in ascending order."""
-    nbrs = [_BITS[r] if r < len(_BITS) else bits(r) for r in g.rows]
-    colors = g.degrees()
-    k = len(set(colors))
-    while True:
-        get = colors.__getitem__
-        sigs = [(c, *sorted(map(get, nb))) for c, nb in zip(colors, nbrs)]
-        ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        colors = [ranks[s] for s in sigs]
-        if len(ranks) == k or len(ranks) == g.n:
-            return colors
-        k = len(ranks)
-
-
 def _ranks_below(values):
     """Per row of an (m, n) float array, the number of entries below each
     entry: equal entries share a rank, and the ranks keep the entries'
-    order.  Pairwise, since n <= CANONICAL_CAP."""
+    order.  Pairwise, since n <= _REFINE_EXACT."""
     import numpy as np
 
     return np.where(values[:, :, None] > values[:, None, :], 1.0, 0.0).sum(axis=2)
 
 
 def _refine_color_stack(adj):
-    """The stable colouring of `_refine_colors` for every graph in an
-    (m, n, n) 0/1 float stack, as an (m, n) float array.  A signature
-    (c, sorted neighbour colours) is coded as c * B^n - sum of
+    """The stable 1-WL colouring of every graph in an (m, n, n) 0/1 float
+    stack, as an (m, n) float array whose order is isomorphism-invariant.
+    The first colour is the degree, and each round recolours a vertex by
+    its signature (c, sorted neighbour colours), coded as c * B^n - sum of
     B^(n-1-colour(u)) over the neighbours u, B = n + 1: vertices of one
     colour have one degree, so the neighbour lists compared have one
     length, and the codes sort as the tuples do.  The codes stay below
-    2^53 for n <= CANONICAL_CAP, so they are exact.
+    2^53 for n <= _REFINE_EXACT, so they are exact.
 
     The rounds colour each vertex by the number of signatures below its
-    own, which splits and orders the classes as the dense ranks of
-    `_refine_colors` do.  Every reader uses only the colours' order and
+    own, which splits and orders the classes as dense ranks of the
+    signatures would.  Every reader uses only the colours' order and
     ties, so they are returned as they are.  A split raises the colour of
     some vertex and lowers none, so a row whose colour sum holds is
     stable; a row whose sum is n(n - 1)/2 is discrete.  Either keeps its
@@ -674,9 +663,10 @@ def _refine_color_stack(adj):
         total = new
 
 
+@lru_cache(maxsize=None)
 def _graph6_pairs(n):
     """The vertex pairs (i, j), i < j, in graph6 bit order, column by
-    column, as two index arrays."""
+    column, as two index arrays, cached per order."""
     import numpy as np
 
     return np.array([(i, j) for j in range(1, n) for i in range(j)]).T
@@ -768,27 +758,25 @@ def _search(rows, colors):
 
 
 def canonical_key(g, cap=CANONICAL_CAP):
-    """Canonical graph6 string: identical iff graphs are isomorphic.
-
-    Minimum upper-triangle bit code over all vertex orderings consistent
-    with the stable WL color classes, found by branch-and-bound that
-    explores one vertex of each set of twins at a search node.
-    """
-    if g.n > cap:
-        raise CapExceededError(f"canonical form capped at n={cap}, got n={g.n}")
-    return _graph6(g.n, _search(g.rows, _refine_colors(g)))
+    """Canonical graph6 string: identical iff graphs are isomorphic.  The
+    key of g as a batch of one (see `canonical_keys`)."""
+    return canonical_keys([g], cap)[0]
 
 
-def canonical_keys(graphs):
-    """[canonical_key(g) for g in graphs] for graphs of one order: their
-    `_graph_stacks`, keyed by `_stack_keys`."""
+def canonical_keys(graphs, cap=CANONICAL_CAP):
+    """The canonical key of each of the graphs, which have one order
+    n <= cap, in input order: the minimum upper-triangle bit code over all
+    vertex orderings consistent with the stable 1-WL colour classes, as a
+    graph6 string.  Their `_graph_stacks` are keyed by `_stack_keys`; an
+    order above _REFINE_EXACT is refused whatever the cap."""
     graphs = list(graphs)
     stacks = _graph_stacks(graphs)
     if not graphs:
         return []
     n = graphs[0].n
-    if n > CANONICAL_CAP:
-        raise CapExceededError(f"canonical form capped at n={CANONICAL_CAP}, got n={n}")
+    limit = min(cap, _REFINE_EXACT)
+    if n > limit:
+        raise CapExceededError(f"canonical form capped at n={limit}, got n={n}")
     if n <= 1:
         return [encode_graph6(g) for g in graphs]
     return list(_stack_keys(stacks))
@@ -802,7 +790,7 @@ _BATCH_ORDERINGS = 64
 
 def _stack_keys(stacks):
     """The canonical_key of each graph of a stream of (m, n, n) 0/1 float
-    adjacency stacks of one order n >= 2, in stream order.
+    adjacency stacks of one order 2 <= n <= _REFINE_EXACT, in stream order.
 
     Each stack is refined at once, and each graph takes its path from P,
     the number of its colour-respecting orderings: the product of the
@@ -810,8 +798,10 @@ def _stack_keys(stacks):
     has one ordering, the vertices by colour, so the key is its code.  The
     graphs of a stack with 1 < P <= _BATCH_ORDERINGS are grouped by
     colour-class-size composition, and each group takes the minimum code
-    over all its orderings in `_batch_minimum`.  The rest are searched one
-    by one from their batch colours, with bitset rows read off the stack.
+    over all its orderings in `_batch_minimum`.  The rest, and every graph
+    of an order above _CODES_EXACT, whose codes floats do not hold
+    exactly, are searched one by one from their batch colours, with bitset
+    rows read off the stack.
     Each composition's `_ordering_weights` is computed once per stream."""
     import numpy as np
 
@@ -840,7 +830,7 @@ def _stack_keys(stacks):
             # freelists
             composition = tuple([int(k) for k in sizes[i] if k])
             orderings = math.prod(map(math.factorial, composition))
-            if orderings > _BATCH_ORDERINGS:
+            if orderings > _BATCH_ORDERINGS or n > _CODES_EXACT:
                 rows = [int(r) for r in (adj[i] @ bit).tolist()]
                 codes[i] = _search(rows, colors[i].tolist())
             elif orderings > 1:

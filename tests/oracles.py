@@ -167,12 +167,10 @@ def graph6_text(g):
     return head + characters([int(g.has_edge(i, j)) for j in range(1, n) for i in range(j)])
 
 
-def frozen_canonical_key(g):
-    """The canonical form as it stood before twin pruning, kept frozen as an
-    oracle: stable 1-WL colours, then the minimum column code over every
-    colour-respecting ordering, with no symmetry pruning."""
-    if g.n <= 1:
-        return graph6_text(g)
+def frozen_colors(g):
+    """Stable 1-WL colours as dense ranks, kept frozen as an oracle: the
+    first colour is the degree, and each round ranks the signatures
+    (colour, sorted neighbour colours) until no class splits."""
     colors = g.degrees()
     while True:
         sigs = [
@@ -182,10 +180,18 @@ def frozen_canonical_key(g):
         ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [ranks[s] for s in sigs]
         if len(set(new)) == len(set(colors)):
-            break
+            return new
         colors = new
+
+
+def frozen_canonical_key(g):
+    """The canonical form as it stood before twin pruning, kept frozen as an
+    oracle: `frozen_colors`, then the minimum column code over every
+    colour-respecting ordering, with no symmetry pruning."""
+    if g.n <= 1:
+        return graph6_text(g)
     classes = {}
-    for v, c in enumerate(new):
+    for v, c in enumerate(frozen_colors(g)):
         classes.setdefault(c, []).append(v)
     blocks = [classes[c] for c in sorted(classes)]
     rows = g.rows

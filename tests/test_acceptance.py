@@ -24,6 +24,7 @@ from spectree.graphs import (
     Graph,
     build_family,
     canonical_key,
+    canonical_keys,
     decode_graph6,
     encode_graph6,
     empty_graph,
@@ -228,9 +229,14 @@ def test_08_enumeration_regressions():
 
         pinned_trees = {6: 6, 7: 11, 8: 23}
         for order, expect in pinned_trees.items():
+            # keyed in one canonical_keys block per first Pruefer entry
             keys = set()
-            for seq in itertools.product(range(order), repeat=order - 2):
-                keys.add(canonical_key(labeled_tree_from_pruefer(seq, order)))
+            for first in range(order):
+                block = [
+                    labeled_tree_from_pruefer((first, *rest), order)
+                    for rest in itertools.product(range(order), repeat=order - 3)
+                ]
+                keys.update(canonical_keys(block))
             assert len(keys) == expect, order
             assert len(all_trees_of_order(order)) == expect, order
 

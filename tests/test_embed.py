@@ -23,6 +23,7 @@ from spectree.graphs import (
     Star,
     build_family,
     canonical_key,
+    canonical_keys,
     decode_graph6,
     empty_graph,
     encode_graph6,
@@ -688,22 +689,24 @@ class TestTreeGeneration:
 
     def test_one_child_per_twin_class(self, monkeypatch):
         # a leaf hung on either of two twins gives the same tree, so order
-        # 12 takes 3,503 canonical_key calls (one per twin class of every
-        # tree on 1..11 vertices, plus the 1-vertex seed), not 4,395
+        # 12 keys 3,502 children (one per twin class of every tree on
+        # 1..11 vertices), not 4,394, in one canonical_keys call per level
         calls = []
 
-        def counting(g, *args, **kwargs):
-            calls.append(g.n)
-            return canonical_key(g, *args, **kwargs)
+        def counting(graphs, *args, **kwargs):
+            graphs = list(graphs)
+            calls.append(len(graphs))
+            return canonical_keys(graphs, *args, **kwargs)
 
         all_trees_of_order.cache_clear()
-        monkeypatch.setattr(embed, "canonical_key", counting)
+        monkeypatch.setattr(embed, "canonical_keys", counting)
         try:
             trees = all_trees_of_order(12)
         finally:
             all_trees_of_order.cache_clear()
         assert len(trees) == 551
-        assert len(calls) == 3503
+        assert len(calls) == 11
+        assert sum(calls) == 3502
 
     def test_all_are_trees_distinct(self):
         trees = all_trees_of_order(7)

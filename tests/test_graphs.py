@@ -25,7 +25,7 @@ from spectree.graphs import (
     _ranks_below,
     _read_keys,
     _refine_color_stack,
-    _refine_colors,
+    _search,
     build_family,
     canonical_key,
     canonical_keys,
@@ -48,6 +48,7 @@ from spectree.enumeration import _children, all_graphs, graph_order, perturb_ext
 from oracles import (
     dense_ranks,
     frozen_canonical_key,
+    frozen_colors,
     frozen_is_complete_split,
     frozen_is_complete_split_plus,
     graph6_text,
@@ -463,7 +464,7 @@ def augmentation_children(n):
 def ordering_count(g):
     """Colour-respecting orderings of g: the product of the factorials of
     its stable colour-class sizes."""
-    return math.prod(math.factorial(k) for k in Counter(_refine_colors(g)).values())
+    return math.prod(math.factorial(k) for k in Counter(frozen_colors(g)).values())
 
 
 def keying_paths(monkeypatch):
@@ -609,7 +610,7 @@ class TestCanonicalKeys:
             values = np.array(batch, dtype=float)
             assert _ranks_below(values).tolist() == [ranks_below(r) for r in batch]
 
-    def test_batch_colours_match_refine_colors(self):
+    def test_batch_colours_match_frozen_colours(self):
         rng = random.Random(3)
         cases = [augmentation_children(7), hard_graphs()[:3], [hard_graphs()[3]]]
         for n in (9, 10):
@@ -618,14 +619,15 @@ class TestCanonicalKeys:
         # their order and ties give the same ordered partition
         for batch in cases:
             colors = _refine_color_stack(_adjacency_stack(batch))
-            assert [dense_ranks(row) for row in colors.tolist()] == [_refine_colors(g) for g in batch]
+            assert [dense_ranks(row) for row in colors.tolist()] == [frozen_colors(g) for g in batch]
 
     def test_search_nodes(self):
         # the search tracks how long a prefix its codes share with the best
         # code so far, so a leaf found in one subtree prunes the next: the
-        # 2,088 children on n <= 7 take 23,460 search nodes, against 24,320
-        # with a pruning flag fixed per frame
-        children = [g for n in range(2, 8) for g in augmentation_children(n)]
+        # 2,088 children on n <= 7 take 23,460 search nodes from their
+        # batch colours, against 24,320 with a pruning flag fixed per frame
+        children = [augmentation_children(n) for n in range(2, 8)]
+        colors = [_refine_color_stack(_adjacency_stack(batch)).tolist() for batch in children]
         nodes = 0
 
         def count(frame, event, arg):
@@ -636,10 +638,12 @@ class TestCanonicalKeys:
 
         sys.setprofile(count)
         try:
-            for g in children:
-                canonical_key(g)
+            for batch, rows in zip(children, colors):
+                for g, row in zip(batch, rows):
+                    _search(g.rows, row)
         finally:
             sys.setprofile(None)
+        assert sum(map(len, children)) == 2088
         assert nodes == 23460
 
     def test_edge_cases(self):
@@ -652,11 +656,40 @@ class TestCanonicalKeys:
         with pytest.raises(ParameterError):
             canonical_keys([empty_graph(3), empty_graph(4)])
 
-    def test_orders_zero_and_one_through_the_search(self, monkeypatch):
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_orders_eleven_and_twelve(self, n):
+        # above n = 10 the codes outgrow a float's 53 bits, so every graph
+        # is searched from its batch colours, alone or in a batch; each
+        # relabelled tree keys to its canonically labelled generated self
+        rng = random.Random(1000 + n)
+        trees = all_trees_of_order(n)
+        cases = [random_graph(n, p=rng.uniform(0.1, 0.9), seed=seed) for seed in range(150)]
+        cases += [t.relabel(rng.sample(range(n), n)) for t in trees]
+        keys = [canonical_key(g, cap=12) for g in cases]
+        assert canonical_keys(cases, cap=12) == keys
+        assert keys[150:] == [encode_graph6(t) for t in trees]
+        small = [(g, key) for g, key in zip(cases, keys) if ordering_count(g) <= 64]
+        assert len(small) >= 100
+        assert all(frozen_canonical_key(g) == key for g, key in small)
+
+    def test_no_cap_above_twelve(self):
+        # the refinement's codes stop being exact floats at n = 13
+        with pytest.raises(CapExceededError):
+            canonical_key(empty_graph(13), cap=13)
+        assert canonical_key(empty_graph(12), cap=13) == encode_graph6(empty_graph(12))
+
+    def test_exported(self):
+        import spectree
+
+        assert spectree.canonical_keys is canonical_keys
+
+    def test_orders_zero_and_one_skip_the_search(self, monkeypatch):
+        # a graph on at most one vertex has one ordering, so its graph6
+        # string is its key
         batched, searched = keying_paths(monkeypatch)
         assert canonical_key(Graph(0, (), 0)) == "?"
         assert canonical_key(Graph(1, (0,), 0)) == "@"
-        assert (batched, searched) == ([], [(), (0,)])
+        assert (batched, searched) == ([], [])
 
     @pytest.mark.parametrize("n", [8, 9, 10])
     def test_twin_heavy_graphs(self, n, monkeypatch):
@@ -665,7 +698,7 @@ class TestCanonicalKeys:
         # still picks their path: the batch minimum for P <= 64, else the
         # search
         def one_twin_class_per_colour(g):
-            colors = _refine_colors(g)
+            colors = frozen_colors(g)
             return all(
                 len(twin_classes(g.rows, [v for v in range(g.n) if colors[v] == c])) == 1
                 for c in set(colors)
