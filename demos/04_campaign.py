@@ -40,7 +40,7 @@ print(f"graphs other than S_{{n,k}} with mu = mu(S_{{n,k}}) = {theta:g}: {len(eq
       f"{len(missing)} of them miss a tree of order {2 * K + 2}; the first three,",
       "with the canonical graph6 keys of the trees they miss:")
 for key in list(missing)[:3]:
-    print(f"  {key}: {missing[key]}")
+    print(f"  {key}: {list(missing[key])}")
 print("violations:", report.totals["violations"])
 
 path = os.path.join(tempfile.gettempdir(), f"conjecture_a_n{N}.json")

@@ -572,7 +572,7 @@ def _adjacency_stack(graphs):
     """The (m, n, n) float stack of the graphs' adjacency matrices,
     unpacked from the bitset rows."""
     n = graphs[0].n
-    rows = _bit_rows((r for g in graphs for r in g.rows), n)
+    rows = _bit_rows(itertools.chain.from_iterable(g.rows for g in graphs), n)
     return rows.reshape(len(graphs), n, n).astype(float)
 
 

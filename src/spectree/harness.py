@@ -38,7 +38,7 @@ from .spectral import (
     bound_edges,
     bound_min_degree,
     charpoly,
-    spectral_radii,
+    spectral_mus,
     split_quotient,
 )
 from .embed import DEFAULT_BUDGET, all_trees_of_order, is_theorem_spider, tree_test
@@ -206,7 +206,7 @@ def _patterns(spec):
 
 def run_campaign(spec):
     """Run one campaign, one order at a time: every graph of the order gets
-    its mu from one `spectral_radii` call (none for broom_turan) and then
+    its mu from one `spectral_mus` call (none for broom_turan) and then
     its verdict; the order's verdicts are sorted by (key, index), so the
     report lists them in (n, key, index) order."""
     spec.validate()
@@ -218,7 +218,7 @@ def run_campaign(spec):
         keys, graphs, parents = _source(spec, n)
         # a campaign that checks a turan lemma reads no mu
         lemma = isinstance(_TABLE[spec.campaign].conclusion, str)
-        mus = [None] * len(graphs) if lemma else [res.mu for res in spectral_radii(graphs)]
+        mus = [None] * len(graphs) if lemma else spectral_mus(graphs)
         check = _checker(spec, n, facts)
         rows = list(map(check, range(len(graphs)), keys, graphs, parents, mus))
         rows.sort(key=lambda v: (v["key"], v["index"]))
@@ -258,8 +258,9 @@ def _spec_dict(spec):
 
 def _verdict(index, n, key, mu, classification, missing=None, advisory=False):
     """One report row.  Only checked rows pass `missing`, the names of the
-    patterns or lemma checks that failed; an advisory campaign never
-    records a violation."""
+    patterns or lemma checks that failed; the row holds them as a tuple,
+    so every clean row shares the one empty tuple.  An advisory campaign
+    never records a violation."""
     return {
         "index": index,
         "n": n,
@@ -267,7 +268,7 @@ def _verdict(index, n, key, mu, classification, missing=None, advisory=False):
         "mu": mu,
         "classification": classification,
         "conclusion_holds": None if missing is None else not missing,
-        "missing": missing or [],
+        "missing": tuple(missing) if missing else (),
         "violation": bool(missing) and not advisory,
     }
 

@@ -41,40 +41,53 @@ def adjacency_matrix(g):
     return _adjacency_stack([g])[0]
 
 
-def spectral_radii(graphs, tol=DEFAULT_TOL):
-    """Largest adjacency eigenvalue of each of the graphs, which must all
-    have the same order n >= 1, as a list of SpectralResult.
-
-    One LAPACK ``eigh`` per stack of `_graph_stacks`, the adjacency
-    matrices of one slice of the graphs: a disconnected graph's
-    matrix is block-diagonal, so its value is already the largest over its
-    components.  Each reported residual is the infinity norm ||Av - mu v||
-    of the returned unit eigenvector; the first graph whose residual
-    exceeds tol * max(1, mu) raises ConvergenceError carrying its result as
-    ``best``.
-    """
+def _checked_stacks(graphs, tol):
+    """For each stack of `_graph_stacks`, the adjacency matrices of one
+    slice of the graphs (which must all have the same order n >= 1), the
+    float lists (mu, residual) of its graphs, from one LAPACK ``eigh``: a
+    disconnected graph's matrix is block-diagonal, so its value is already
+    the largest over its components.  Each residual is the infinity norm
+    ||Av - mu v|| of the returned unit eigenvector; the first graph whose
+    residual exceeds tol * max(1, mu) raises ConvergenceError carrying its
+    SpectralResult as ``best``."""
     graphs = list(graphs)
     stacks = _graph_stacks(graphs)
     if graphs and graphs[0].n == 0:
         raise ParameterError("spectral radius undefined for the empty graph")
     if tol <= 0:
         raise ParameterError("tol must be positive")
-    results = []
     for a in stacks:
         w, v = np.linalg.eigh(a)
         mu = w[:, -1]
         x = v[:, :, -1:]
         residual = np.abs(a @ x - mu[:, None, None] * x).max(axis=(1, 2))
-        batch = [SpectralResult(m, r) for m, r in zip(mu.tolist(), residual.tolist())]
+        mus, residuals = mu.tolist(), residual.tolist()
         (bad,) = np.nonzero(residual > tol * np.maximum(1.0, mu))
         if bad.size:
-            res = batch[bad[0]]
+            res = SpectralResult(mus[bad[0]], residuals[bad[0]])
             raise ConvergenceError(
                 f"eigh residual {res.residual:.3e} > tol {tol:.3e} * max(1, mu)",
                 best=res,
             )
-        results += batch
-    return results
+        yield mus, residuals
+
+
+def spectral_radii(graphs, tol=DEFAULT_TOL):
+    """Largest adjacency eigenvalue of each of the graphs, which must all
+    have the same order n >= 1, as a list of SpectralResult, each with the
+    residual of `_checked_stacks`."""
+    return [
+        SpectralResult(m, r)
+        for mus, residuals in _checked_stacks(graphs, tol)
+        for m, r in zip(mus, residuals)
+    ]
+
+
+def spectral_mus(graphs, tol=DEFAULT_TOL):
+    """The mu of each SpectralResult that spectral_radii would return, as
+    a list of floats: the same values and residual check, without one
+    result object per graph."""
+    return [m for mus, _ in _checked_stacks(graphs, tol) for m in mus]
 
 
 def spectral_radius(g, tol=DEFAULT_TOL):
@@ -151,11 +164,13 @@ def charpoly(matrix):
 
 
 def _combine(terms, rows, n):
-    """Sum of x * rows[j] over the (j, x) terms."""
-    out = [0] * n
-    for j, x in terms:
-        out = [s + x * y for s, y in zip(out, rows[j])]
-    return out
+    """Sum of x * rows[j] over the (j, x) terms, one column at a time.  An
+    adjacency matrix's terms all have x = 1, so its rows are summed as
+    they are."""
+    if not terms:
+        return [0] * n
+    scaled = [rows[j] if x == 1 else [x * y for y in rows[j]] for j, x in terms]
+    return [sum(column) for column in zip(*scaled)]
 
 
 def split_quotient(family):

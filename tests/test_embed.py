@@ -721,12 +721,17 @@ class TestTreeGeneration:
 
     def test_pruefer_oracle_agreement(self):
         # every labeled tree from a Pruefer sequence is isomorphic to some
-        # generated free tree, and every class is hit
+        # generated free tree, and every class is hit; the labeled trees
+        # are keyed in one canonical_keys block per first Pruefer entry
         for t in (6, 7):
             generated = {canonical_key(g) for g in all_trees_of_order(t)}
             seen = set()
-            for seq in itertools.product(range(t), repeat=t - 2):
-                seen.add(canonical_key(labeled_tree_from_pruefer(seq, t)))
+            for first in range(t):
+                block = [
+                    labeled_tree_from_pruefer((first, *rest), t)
+                    for rest in itertools.product(range(t), repeat=t - 3)
+                ]
+                seen.update(canonical_keys(block))
             assert seen == generated
 
     def test_cap(self):

@@ -31,7 +31,7 @@ from spectree.embed import (
     tree_test,
 )
 from spectree.enumeration import all_graphs, graph_order
-from spectree.spectral import LargestRoot, charpoly, spectral_radii, split_quotient
+from spectree.spectral import LargestRoot, charpoly, spectral_mus, split_quotient
 from spectree.turan import check_lemma, partitions, three_leg_spiders
 from spectree import harness, turan
 from spectree.harness import (
@@ -49,16 +49,16 @@ from oracles import brute_force_contains, eigh_mu, exact_mu_sign
 
 
 def count_mu_graphs(monkeypatch):
-    """Make harness.spectral_radii record the canonical key of every graph
+    """Make harness.spectral_mus record the canonical key of every graph
     it is given; returns the list it appends to."""
     seen = []
 
     def counting(graphs, *args, **kwargs):
         graphs = list(graphs)
         seen.extend(canonical_key(g) for g in graphs)
-        return spectral_radii(graphs, *args, **kwargs)
+        return spectral_mus(graphs, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "spectral_radii", counting)
+    monkeypatch.setattr(harness, "spectral_mus", counting)
     return seen
 
 
@@ -158,15 +158,15 @@ class TestMuCampaign:
         assert len(set(seen)) == 34
 
     def test_one_spectral_radii_call_per_order(self, monkeypatch):
-        # spectral_radii slices each order itself; the harness hands it the
+        # spectral_mus slices each order itself; the harness hands it the
         # whole order at once
         sizes = []
 
         def recording(graphs, *args, **kwargs):
             sizes.append(len(graphs))
-            return spectral_radii(graphs, *args, **kwargs)
+            return spectral_mus(graphs, *args, **kwargs)
 
-        monkeypatch.setattr(harness, "spectral_radii", recording)
+        monkeypatch.setattr(harness, "spectral_mus", recording)
         run_campaign(small_spec(n_min=7, n_max=8))
         assert sizes == [1044, 12346]
 
@@ -280,7 +280,7 @@ class TestMuCampaign:
         report = run_campaign(small_spec(campaign="theorem_path", n_min=7, n_max=7))
         assert report.totals["hypothesis_satisfying"] > 0
         # every violation names the missing path pattern
-        assert all(v["missing"] == ["path"] for v in report.violations)
+        assert all(v["missing"] == ("path",) for v in report.violations)
 
 
 def _digest(keys):
@@ -340,7 +340,7 @@ class TestExactThreshold:
         # tree of order 6, and the permutation oracle confirms its absence
         for v in report_n8.violations:
             host = decode_graph6(v["key"])
-            assert v["missing"] == sorted(set(v["missing"])), v["key"]
+            assert v["missing"] == tuple(sorted(set(v["missing"]))), v["key"]
             for name in v["missing"]:
                 tree = decode_graph6(name)
                 assert tree.n == 6 and tree.e == 5 and tree.is_connected(), name
@@ -426,7 +426,7 @@ def count_containment(monkeypatch):
 
 def plain_missing(g, patterns, budget=10**8):
     """Names of the patterns g does not contain, each tested on its own."""
-    return [name for name, pat in patterns if contains_tree(g, pat, budget=budget) is None]
+    return tuple(name for name, pat in patterns if contains_tree(g, pat, budget=budget) is None)
 
 
 class TestInheritedMissing:
@@ -449,7 +449,7 @@ class TestInheritedMissing:
                 ]
             else:
                 expected = plain_missing(g, patterns)
-            assert v["missing"] == expected, v["key"]
+            assert v["missing"] == tuple(expected), v["key"]
 
     def test_single_order_n8_calls(self, monkeypatch, report_n8):
         # the order-7 and order-6 parent sets are computed on demand; a
@@ -705,6 +705,17 @@ class TestExhaustiveKeys:
 
 
 class TestReports:
+    def test_clean_rows_share_one_missing_value(self):
+        # the 1,163 rows over n = 6, 7 that miss nothing, checked or not,
+        # hold the one empty tuple rather than a list each
+        report = run_campaign(small_spec(n_min=6, n_max=7))
+        clean = [v for v in report.verdicts if not v["missing"]]
+        assert len(clean) == 1163
+        empty = clean[0]["missing"]
+        assert type(empty) is tuple and not empty
+        assert all(v["missing"] is empty for v in clean)
+        assert all(type(v["missing"]) is tuple for v in report.violations)
+
     def test_json_roundtrip(self):
         report = run_campaign(small_spec(n_min=5, n_max=5))
         data = json.loads(report_to_json(report))
@@ -739,7 +750,7 @@ class TestReports:
         rows = list(csv.DictReader(io.StringIO(text)))
         assert any(v["missing"] for v in report.verdicts)
         for row, v in zip(rows, report.verdicts):
-            assert (row["missing"].split(";") if row["missing"] else []) == v["missing"]
+            assert (row["missing"].split(";") if row["missing"] else []) == list(v["missing"])
         with pytest.raises(ParameterError):
             harness.render_report(report, "xml")
 

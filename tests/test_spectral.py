@@ -32,6 +32,7 @@ from spectree.spectral import (
     lemma1_certificate,
     mu_S_closed,
     mu_S_plus_bounds,
+    spectral_mus,
     spectral_radii,
     spectral_radius,
     split_quotient,
@@ -256,6 +257,27 @@ class TestSpectralRadii:
                 spectral_radii([empty_graph(30)] * before + [path, empty_graph(30)], tol=1e-300)
             assert exc.value.best.mu == pytest.approx(2 * math.cos(math.pi / 31), abs=1e-12)
             assert exc.value.best.residual > 0
+
+    @pytest.mark.parametrize("n", [7, 8, 40])
+    def test_mus_are_the_results_mus(self, n):
+        # the float-only batch gives each result's mu, bit for bit, over
+        # one slice (n = 7), 49 slices (n = 8) and 3 slices of 10 (n = 40)
+        graphs = all_graphs(n) if n <= 8 else [random_graph(n, p=0.3, seed=s) for s in range(30)]
+        mus = spectral_mus(graphs)
+        assert all(type(mu) is float for mu in mus)
+        assert [mu.hex() for mu in mus] == [res.mu.hex() for res in spectral_radii(graphs)]
+
+    def test_mus_raise_as_the_results_do(self):
+        path = build_family(Path(30))
+        with pytest.raises(ConvergenceError) as exc:
+            spectral_mus([empty_graph(30)] * 20 + [path], tol=1e-300)
+        assert exc.value.best.mu == spectral_radius(path).mu
+        assert exc.value.best.residual > 0
+        with pytest.raises(ParameterError):
+            spectral_mus([build_family(Path(4))], tol=0.0)
+        with pytest.raises(ParameterError):
+            spectral_mus([build_family(Path(4)), build_family(Path(5))])
+        assert spectral_mus([]) == []
 
     def test_mixed_orders_rejected(self):
         with pytest.raises(ParameterError):
