@@ -27,25 +27,16 @@ _cache = {}
 
 class _Order:
     """The classes on n vertices: their canonical graph6 keys in sorted
-    order, for each class the index, in the order n - 1 lists, of the
-    parent whose augmentation first produced it (None at n = 1), and the
-    canonical graph of each class, all as tuples.  The graphs are read
-    from the keys once, on first use, by one `_read_keys` pass over the
-    order, so that an order that is only counted (the opt-in n = 9 tier,
-    274,668 classes) does not hold them."""
+    order, the canonical graph of each class, read from its key, and for
+    each class the index, in the order n - 1 lists, of the parent whose
+    augmentation first produced it (None at n = 1), all as tuples."""
 
-    __slots__ = ("keys", "parents", "_graphs")
+    __slots__ = ("keys", "graphs", "parents")
 
-    def __init__(self, keys, parents):
+    def __init__(self, keys, graphs, parents):
         self.keys = keys
+        self.graphs = graphs
         self.parents = parents
-        self._graphs = None
-
-    @property
-    def graphs(self):
-        if self._graphs is None:
-            self._graphs = _read_keys(self.keys)
-        return self._graphs
 
 
 def graph_order(n, cap=EXHAUSTIVE_CAP):
@@ -53,16 +44,8 @@ def graph_order(n, cap=EXHAUSTIVE_CAP):
     canonical graph6 string its graph is decoded from, so it equals
     `canonical_key(graph)`; each parent is the index in graph_order(n - 1)
     of a class isomorphic to the graph minus one of its maximum-degree
-    vertices.
-
-    Built by vertex augmentation that keeps only children whose new vertex
-    has maximum degree: deleting a maximum-degree vertex of any graph on n
-    vertices leaves a parent in the n - 1 list, so every class is still
-    reached.  Twins of the parent are interchangeable, so in each twin
-    class the new vertex is joined only to a prefix of the class.  The
-    children stream as (parent, mask) pairs into stacks of adjacency
-    matrices, which `_stack_keys` keys in generation order, so each class
-    takes the parent of its first child."""
+    vertices.  The graphs are read by one `_read_keys` pass over the keys,
+    after the augmentation's working set is released."""
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     if cap > OPT_IN_CAP:
@@ -74,16 +57,31 @@ def graph_order(n, cap=EXHAUSTIVE_CAP):
     if n == 1:
         keys, parents = (encode_graph6(Graph(1, (0,), 0)),), (None,)
     else:
-        # one int object per parent, shared by every class it names
-        ids = list(range(len(graph_order(n - 1).keys)))
-        children, links = tee(_children(n))
-        first = {}  # key -> parent of its first child
-        for (parent, _), key in zip(links, _stack_keys(_child_stacks(n, children))):
-            first.setdefault(key, ids[parent])
-        keys = tuple(sorted(first))
-        parents = tuple(first[k] for k in keys)
-    order = _cache[n] = _Order(keys, parents)
+        keys, parents = _augment(n)
+    order = _cache[n] = _Order(keys, _read_keys(keys), parents)
     return order
+
+
+def _augment(n):
+    """The sorted keys of the classes on n vertices and the parent index of
+    each, n >= 2.
+
+    Built by vertex augmentation that keeps only children whose new vertex
+    has maximum degree: deleting a maximum-degree vertex of any graph on n
+    vertices leaves a parent in the n - 1 list, so every class is still
+    reached.  Twins of the parent are interchangeable, so in each twin
+    class the new vertex is joined only to a prefix of the class.  The
+    children stream as (parent, mask) pairs into stacks of adjacency
+    matrices, which `_stack_keys` keys in generation order, so each class
+    takes the parent of its first child."""
+    # one int object per parent, shared by every class it names
+    ids = list(range(len(graph_order(n - 1).keys)))
+    children, links = tee(_children(n))
+    first = {}  # key -> parent of its first child
+    for (parent, _), key in zip(links, _stack_keys(_child_stacks(n, children))):
+        first.setdefault(key, ids[parent])
+    keys = tuple(sorted(first))
+    return keys, tuple(first[k] for k in keys)
 
 
 def _children(n):
@@ -131,7 +129,7 @@ def all_graphs(n, connected_only=False):
     """One representative per isomorphism class on n vertices, as a new
     list in deterministic (canonical graph6) order.  The graphs are the
     enumeration's own immutable objects, each read from its class's key
-    once, by the order's `_read_keys` pass (see `_Order`).  Orders
+    by the order's one `_read_keys` pass (see `graph_order`).  Orders
     above EXHAUSTIVE_CAP are reached through `graph_order(n, cap)`."""
     graphs = graph_order(n).graphs
     if connected_only:

@@ -538,7 +538,7 @@ def parse_edge_list(text):
 # 0.15-0.2 MB, with the same modules loaded.
 #
 # The keying code keeps to float arithmetic, comparisons, np.where and
-# matrix-vector products, which spectral_radii maps into memory anyway:
+# matrix-vector products, which spectral_mus maps into memory anyway:
 # each further kind of numpy kernel maps 64 KB or more of the library (a
 # stable argsort of the colours mapped 128 KB, read from /proc/self/pagemap).
 # So `_batch_minimum` multiplies as a batch of matrix-vector products,

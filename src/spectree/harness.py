@@ -16,6 +16,7 @@ import json
 import time
 from dataclasses import dataclass, asdict
 from functools import partial
+from operator import itemgetter
 
 from . import __version__
 from .errors import BudgetExceededError, ParameterError
@@ -136,6 +137,8 @@ class CampaignSpec:
                     f"n >= {smallest} for k={self.k}; got n_min={self.n_min}"
                 )
         src = self.source
+        if src.kind not in ("exhaustive", "random", "perturbation"):
+            raise ParameterError(f"unknown source kind {src.kind!r}")
         if src.kind in ("random", "perturbation") and src.count < 1:
             raise ParameterError(f"a {src.kind} source needs count >= 1, got {src.count}")
         if src.kind == "perturbation" and src.radius < 1:
@@ -161,11 +164,12 @@ class VerificationReport:
 
 def _source(spec, n):
     """The graphs of one order as (keys, graphs, parents), three aligned
-    sequences in index order.  An exhaustive order hands out the enumeration's own
-    tuples: canonical graph6 keys, and the index of each graph's
-    enumeration parent on n - 1 vertices.  Sampled graphs get keys that
-    can repeat, from one `canonical_keys` call up to CANONICAL_CAP and
-    plain graph6 above, and parent None."""
+    sequences in index order.  An exhaustive order is handed over
+    unchanged: the enumeration's own tuples of canonical graph6 keys,
+    graphs, and the index of each graph's enumeration parent on n - 1
+    vertices.  Sampled graphs get keys that can repeat, from one
+    `canonical_keys` call up to CANONICAL_CAP and plain graph6 above, and
+    parent None."""
     src = spec.source
     if src.kind == "exhaustive":
         order = graph_order(n)
@@ -175,8 +179,9 @@ def _source(spec, n):
             random_graph(n, p=0.5, seed=src.seed * 1_000_003 + n * 101 + i)
             for i in range(src.count)
         ]
-    elif src.kind == "perturbation":
-        # the unperturbed base, then `count` draws per (add, remove) pair
+    else:
+        # perturbation: the unperturbed base, then `count` draws per
+        # (add, remove) pair
         draws = [
             (a, r)
             for a in range(src.radius + 1)
@@ -188,8 +193,6 @@ def _source(spec, n):
         graphs = [g] + [
             _perturb(g, a, r, src.seed * 7_654_321 + i) for i, (a, r) in enumerate(draws, start=1)
         ]
-    else:
-        raise ParameterError(f"unknown source kind {src.kind!r}")
     # canonical graph6 while the canonical form reaches n, plain above
     keys = canonical_keys(graphs) if n <= CANONICAL_CAP else list(map(encode_graph6, graphs))
     return keys, graphs, [None] * len(graphs)
@@ -207,21 +210,21 @@ def _patterns(spec):
 def run_campaign(spec):
     """Run one campaign, one order at a time: every graph of the order gets
     its mu from one `spectral_mus` call (none for broom_turan) and then
-    its verdict; the order's verdicts are sorted by (key, index), so the
-    report lists them in (n, key, index) order."""
+    its verdict.  Rows are built in index order and sorted stably by key,
+    so the report lists them in (n, key, index) order."""
     spec.validate()
     t_start = time.perf_counter()
     facts = _facts(spec)
     verdicts = []
     per_n_violations = {}
+    # a campaign that checks a turan lemma reads no mu
+    lemma = isinstance(_TABLE[spec.campaign].conclusion, str)
     for n in range(spec.n_min, spec.n_max + 1):
         keys, graphs, parents = _source(spec, n)
-        # a campaign that checks a turan lemma reads no mu
-        lemma = isinstance(_TABLE[spec.campaign].conclusion, str)
         mus = [None] * len(graphs) if lemma else spectral_mus(graphs)
         check = _checker(spec, n, facts)
         rows = list(map(check, range(len(graphs)), keys, graphs, parents, mus))
-        rows.sort(key=lambda v: (v["key"], v["index"]))
+        rows.sort(key=itemgetter("key"))
         per_n_violations[n] = sum(v["violation"] for v in rows)
         verdicts += rows
     violations = [v for v in verdicts if v["violation"]]

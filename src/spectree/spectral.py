@@ -72,27 +72,18 @@ def _checked_stacks(graphs, tol):
         yield mus, residuals
 
 
-def spectral_radii(graphs, tol=DEFAULT_TOL):
-    """Largest adjacency eigenvalue of each of the graphs, which must all
-    have the same order n >= 1, as a list of SpectralResult, each with the
-    residual of `_checked_stacks`."""
-    return [
-        SpectralResult(m, r)
-        for mus, residuals in _checked_stacks(graphs, tol)
-        for m, r in zip(mus, residuals)
-    ]
-
-
 def spectral_mus(graphs, tol=DEFAULT_TOL):
-    """The mu of each SpectralResult that spectral_radii would return, as
-    a list of floats: the same values and residual check, without one
-    result object per graph."""
+    """Largest adjacency eigenvalue of each of the graphs, which must all
+    have the same order n >= 1, as a list of floats, each passing the
+    residual check of `_checked_stacks`."""
     return [m for mus, _ in _checked_stacks(graphs, tol) for m in mus]
 
 
 def spectral_radius(g, tol=DEFAULT_TOL):
-    """spectral_radii of the one graph g."""
-    return spectral_radii([g], tol)[0]
+    """The SpectralResult (mu and residual) of the one graph g, from the
+    single slice of `_checked_stacks`."""
+    [((mu,), (residual,))] = _checked_stacks([g], tol)
+    return SpectralResult(mu, residual)
 
 
 # -- closed forms and bounds ----------------------------------------------
@@ -405,7 +396,7 @@ def walk_sum_B_u(g, u, k):
 # -- dense-core witness search --------------------------------------------
 
 
-def dense_core_witness(g, k, c, tol=DEFAULT_TOL):
+def dense_core_witness(g, k, c):
     """Minimum-degree peeling witness search.
 
     Repeatedly deletes vertices of degree <= k-1 and reports the first
@@ -421,7 +412,7 @@ def dense_core_witness(g, k, c, tol=DEFAULT_TOL):
     n0 = g.n
     h = g
     while h.n > 0:
-        mu = spectral_radius(h, tol).mu
+        mu = spectral_radius(h).mu
         if mu > math.sqrt((2 * k + 1) * h.n):
             return h, "i"
         delta = min(h.degrees())
@@ -431,11 +422,8 @@ def dense_core_witness(g, k, c, tol=DEFAULT_TOL):
             and mu > (k - 1) / 2 + math.sqrt(k * h.n - k * k + c + 0.5)
         ):
             return h, "ii"
-        weak = [v for v in range(h.n) if h.degree(v) <= k - 1]
-        if not weak:
+        keep = [v for v in range(h.n) if h.degree(v) >= k]
+        if len(keep) == h.n:
             return None  # stable core, no condition met
-        keep = [v for v in range(h.n) if h.degree(v) > k - 1]
-        if not keep:
-            return None
         h, _ = h.subgraph(keep)
     return None

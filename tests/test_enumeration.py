@@ -80,7 +80,7 @@ class TestAllGraphs:
 
     @pytest.mark.skipif(
         os.environ.get("SPECTREE_SLOW") != "1",
-        reason="opt-in n = 9 tier, about 9 s; set SPECTREE_SLOW=1",
+        reason="opt-in n = 9 tier, about 12 s; set SPECTREE_SLOW=1",
     )
     def test_opt_in_n9_count(self):
         # keys and parents pinned as at n = 7 and 8
@@ -90,11 +90,11 @@ class TestAllGraphs:
         assert keys == "84c0f2b683ec39628c405a8c2a125d40dceb0097d2e6c3c61d3cfc041e94d11b"
         parents = hashlib.sha256(",".join(map(str, order.parents)).encode()).hexdigest()
         assert parents == "53975fa24cc29d7db97fa848c72bd63178aa0028a1ebda5ddc9e13827cd3e564"
-        # the table-driven reader agrees with the strict decoder on every
-        # class, field for field, without the order keeping the graphs
+        # the order's graphs, read by the table-driven reader, agree with
+        # the strict decoder on every class, field for field
         assert all(
             (g.n, g.rows, g.e) == (h.n, h.rows, h.e)
-            for g, h in zip(graphs._read_keys(order.keys), map(decode_graph6, order.keys))
+            for g, h in zip(order.graphs, map(decode_graph6, order.keys))
         )
 
     def test_connected_counts(self):

@@ -90,8 +90,9 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize(
         "source",
-        # no draws, negative draws, a perturbation of radius < 1, and a
-        # perturbation base that is not a complete split, or none
+        # no draws, negative draws, a perturbation of radius < 1, a
+        # perturbation base that is not a complete split, or none, and a
+        # kind that names no source
         [
             Source("random", count=-3),
             Source("random", count=0),
@@ -100,6 +101,7 @@ class TestSpecValidation:
             Source("perturbation", count=5, base=CompleteSplit(6, 2), radius=-1),
             Source("perturbation", count=5, base=Complete(6)),
             Source("perturbation", count=5),
+            Source("bogus"),
         ],
     )
     def test_bad_sampled_source(self, source):
@@ -157,7 +159,7 @@ class TestMuCampaign:
         assert sorted(seen) == sorted(v["key"] for v in report.verdicts)
         assert len(set(seen)) == 34
 
-    def test_one_spectral_radii_call_per_order(self, monkeypatch):
+    def test_one_spectral_mus_call_per_order(self, monkeypatch):
         # spectral_mus slices each order itself; the harness hands it the
         # whole order at once
         sizes = []

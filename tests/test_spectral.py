@@ -33,7 +33,6 @@ from spectree.spectral import (
     mu_S_closed,
     mu_S_plus_bounds,
     spectral_mus,
-    spectral_radii,
     spectral_radius,
     split_quotient,
     walk_sum_B_u,
@@ -196,19 +195,19 @@ class TestSpectralRadius:
 class TestSpectralRadii:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_all_graphs_against_oracle(self, n):
+        # every mu passed the residual bound of the default tol
         graphs = all_graphs(n)
-        results = spectral_radii(graphs)
-        assert len(results) == len(graphs)
-        for g, res in zip(graphs, results):
-            mu = eigh_mu(g)
-            assert abs(res.mu - mu) <= 1e-14 * max(1.0, mu)
-            assert res.residual <= 1e-10 * max(1.0, mu)
+        mus = spectral_mus(graphs)
+        assert len(mus) == len(graphs)
+        assert all(type(mu) is float for mu in mus)
+        for g, mu in zip(graphs, mus):
+            assert abs(mu - eigh_mu(g)) <= 1e-14 * max(1.0, mu)
 
     def test_path_200_batch(self):
         # orders above 64 need more than one word per row
         g = build_family(Path(200))
-        (res,) = spectral_radii([g])
-        assert abs(res.mu - 2 * math.cos(math.pi / 201)) <= 1e-12
+        (mu,) = spectral_mus([g])
+        assert abs(mu - 2 * math.cos(math.pi / 201)) <= 1e-12
         assert np.array_equal(adjacency_matrix(g), edge_list_adjacency(g))
 
     @pytest.mark.parametrize("n", [8, 9, 16, 17, 64, 65])
@@ -221,9 +220,8 @@ class TestSpectralRadii:
 
     def test_random_70_vertex_graphs(self):
         graphs = [random_graph(70, p=0.3, seed=seed) for seed in (70, 71, 72)]
-        for g, res in zip(graphs, spectral_radii(graphs)):
-            mu = eigh_mu(g)
-            assert abs(res.mu - mu) <= 1e-14 * mu
+        for g, mu in zip(graphs, spectral_mus(graphs)):
+            assert abs(mu - eigh_mu(g)) <= 1e-14 * mu
             assert np.array_equal(adjacency_matrix(g), edge_list_adjacency(g))
 
     def test_multi_slice_batches(self, monkeypatch):
@@ -238,14 +236,13 @@ class TestSpectralRadii:
             return eigh(a)
 
         monkeypatch.setattr(np.linalg, "eigh", recording)
-        assert len(spectral_radii(all_graphs(8))) == 12346
-        results = spectral_radii(graphs)
+        assert len(spectral_mus(all_graphs(8))) == 12346
+        mus = spectral_mus(graphs)
         monkeypatch.undo()
         assert stacks == [(256, 8, 8)] * 48 + [(58, 8, 8)] + [(10, 40, 40)] * 3
-        assert len(results) == len(graphs)
-        for g, res in zip(graphs, results):
-            mu = eigh_mu(g)
-            assert abs(res.mu - mu) <= 1e-14 * mu
+        assert len(mus) == len(graphs)
+        for g, mu in zip(graphs, mus):
+            assert abs(mu - eigh_mu(g)) <= 1e-14 * mu
 
     def test_convergence_error_names_the_failing_graph(self):
         # an edgeless graph has residual exactly 0, so under a tiny tol
@@ -254,18 +251,9 @@ class TestSpectralRadii:
         path = build_family(Path(30))
         for before in (1, 20):
             with pytest.raises(ConvergenceError) as exc:
-                spectral_radii([empty_graph(30)] * before + [path, empty_graph(30)], tol=1e-300)
+                spectral_mus([empty_graph(30)] * before + [path, empty_graph(30)], tol=1e-300)
             assert exc.value.best.mu == pytest.approx(2 * math.cos(math.pi / 31), abs=1e-12)
             assert exc.value.best.residual > 0
-
-    @pytest.mark.parametrize("n", [7, 8, 40])
-    def test_mus_are_the_results_mus(self, n):
-        # the float-only batch gives each result's mu, bit for bit, over
-        # one slice (n = 7), 49 slices (n = 8) and 3 slices of 10 (n = 40)
-        graphs = all_graphs(n) if n <= 8 else [random_graph(n, p=0.3, seed=s) for s in range(30)]
-        mus = spectral_mus(graphs)
-        assert all(type(mu) is float for mu in mus)
-        assert [mu.hex() for mu in mus] == [res.mu.hex() for res in spectral_radii(graphs)]
 
     def test_mus_raise_as_the_results_do(self):
         path = build_family(Path(30))
@@ -273,24 +261,20 @@ class TestSpectralRadii:
             spectral_mus([empty_graph(30)] * 20 + [path], tol=1e-300)
         assert exc.value.best.mu == spectral_radius(path).mu
         assert exc.value.best.residual > 0
-        with pytest.raises(ParameterError):
-            spectral_mus([build_family(Path(4))], tol=0.0)
-        with pytest.raises(ParameterError):
-            spectral_mus([build_family(Path(4)), build_family(Path(5))])
         assert spectral_mus([]) == []
 
     def test_mixed_orders_rejected(self):
         with pytest.raises(ParameterError):
-            spectral_radii([build_family(Path(4)), build_family(Path(5))])
+            spectral_mus([build_family(Path(4)), build_family(Path(5))])
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ParameterError):
-            spectral_radii([Graph(0, (), 0)])
+            spectral_mus([Graph(0, (), 0)])
 
     @pytest.mark.parametrize("tol", [0.0, -1e-10])
     def test_nonpositive_tol_rejected(self, tol):
         with pytest.raises(ParameterError):
-            spectral_radii([build_family(Path(4))], tol=tol)
+            spectral_mus([build_family(Path(4))], tol=tol)
         with pytest.raises(ParameterError):
             spectral_radius(build_family(Path(4)), tol=tol)
 
